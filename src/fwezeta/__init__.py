@@ -4,9 +4,9 @@ verification suite around them: functional equation signs, root modulus
 checks, exact root multiplicities, derivative divisibility and the
 sharpened minimum-index bound."""
 
-from .algebra import (HomogeneousPoly, Matrix2, QuadRational, Rational,
-                      SingularMatrixError, UniPoly, apply_diff_operator,
-                      exact_divide, solve_linear, substitute_linear)
+from .algebra import (HomogeneousPoly, Matrix2, SingularMatrixError, UniPoly,
+                      apply_diff_operator, exact_divide, solve_linear,
+                      substitute_linear)
 from .analysis import (BoundReport, DivisibilityReport, RhReport,
                        RootFindingError, RootSet, check_divisibility,
                        check_operator_substitution, check_rh,

@@ -1,142 +1,28 @@
-"""Exact arithmetic: rationals, two quadratic extensions of Q, homogeneous
-bivariate and univariate polynomials, and an exact linear solver.
+"""Exact arithmetic over Q: homogeneous bivariate and univariate
+polynomials, linear substitution, differential operators, exact division
+and an exact linear solver.
 
 Every value is immutable and every operation is exact; nothing in this
-module ever rounds.  Rational scalars are plain ``fractions.Fraction``;
-irrational scalars live in Q(i) or Q(sqrt 2) via :class:`QuadRational`.
+module ever rounds.  Scalars are plain ``fractions.Fraction`` (ints are
+promoted on entry); no irrational number is ever needed, because every
+identity the package checks has a rational form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
-
-Rational = Fraction
-
-Scalar = Union[Fraction, "QuadRational"]
-
-_QUAD_FIELDS = (-1, 2)
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class SingularMatrixError(ValueError):
     """Raised when an exact linear system has no unique solution."""
 
 
-class QuadRational:
-    """An element a + b*sqrt(d) with rational a, b and fixed d in {-1, 2}.
-
-    d = -1 gives Q(i), d = 2 gives Q(sqrt 2); these are the only two
-    irrationalities needed anywhere in this package.  Values from
-    different fields never mix: combining d = -1 with d = 2 raises.
-    Since sqrt(d) is irrational for both tags, a + b*sqrt(d) = 0 iff
-    a = b = 0, so equality and zero tests are exact.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=2):
-        if d not in _QUAD_FIELDS:
-            raise ValueError(f"unsupported quadratic field tag {d!r}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadRational is immutable")
-
-    def _coerce(self, other) -> Optional["QuadRational"]:
-        if isinstance(other, QuadRational):
-            if other.d != self.d:
-                raise ValueError(
-                    f"mixed quadratic fields: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRational(other, 0, self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(o.a - self.a, o.b - self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadRational(self.a * o.a + self.d * self.b * o.b,
-                            self.a * o.b + self.b * o.a, self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - d b^2)
-        return self * QuadRational(o.a / n, -o.b / n, self.d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return QuadRational(-self.a, -self.b, self.d)
-
-    def __eq__(self, other):
-        if isinstance(other, QuadRational):
-            if other.d != self.d:
-                # values in different fields are comparable only through Q
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - d*b^2 (zero only for the zero element)."""
-        return self.a * self.a - self.d * self.b * self.b
-
-    def conjugate(self) -> "QuadRational":
-        return QuadRational(self.a, -self.b, self.d)
-
-    def __repr__(self):
-        unit = "i" if self.d == -1 else "sqrt2"
-        return f"({self.a} + {self.b}*{unit})"
-
-
 def _as_scalar(value):
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, QuadRational)):
+    if isinstance(value, Fraction):
         return value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
@@ -242,13 +128,6 @@ class HomogeneousPoly:
 
     def __hash__(self):
         return hash((self.degree, self.coeffs))
-
-    def map_coefficients(self, fn: Callable) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.degree, [fn(c) for c in self.coeffs])
-
-    def lift_quadratic(self, d: int) -> "HomogeneousPoly":
-        """Reinterpret rational coefficients inside Q(sqrt d)."""
-        return self.map_coefficients(lambda c: QuadRational(c, 0, d))
 
     def __repr__(self):
         return f"HomogeneousPoly({self.degree}, {list(self.coeffs)!r})"
@@ -365,9 +244,6 @@ class UniPoly:
             acc = c if acc is None else acc * z + c
         return acc if acc is not None else Fraction(0)
 
-    def map_coefficients(self, fn: Callable) -> "UniPoly":
-        return UniPoly([fn(c) for c in self.coeffs])
-
     def divmod_linear(self, root):
         """Synthetic division by (T - root): returns (quotient, remainder).
 
@@ -400,7 +276,7 @@ class UniPoly:
 
 @dataclass(frozen=True)
 class Matrix2:
-    """A 2x2 matrix (a b; c d) over one scalar field."""
+    """A 2x2 matrix (a b; c d) with rational entries."""
 
     a: object
     b: object

@@ -16,8 +16,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .algebra import (HomogeneousPoly, Matrix2, QuadRational, UniPoly,
-                      apply_diff_operator, exact_divide, substitute_linear)
+from .algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
+                      exact_divide, substitute_linear)
 from .fwe import is_formal_weight_enumerator, min_weight_index
 from .zeta import ZetaPolynomial, functional_equation_sign
 
@@ -176,46 +176,51 @@ def roots_pair_up(roots, q: int, tolerance: float,
     return True
 
 
-def verify_root_pairing(Z: ZetaPolynomial, tolerance: Optional[float] = None,
-                        precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
+def verify_root_pairing(Z: ZetaPolynomial, root_set: RootSet,
+                        tolerance: Optional[float] = None) -> bool:
     """Check that the numeric roots off +-1/sqrt(q) split into pairs
     (alpha, 1/(q*alpha)).
 
-    Requires the functional equation with sign -1, which is what forces
-    the pairing; greedy matching with the given tolerance (default
-    1e-6/sqrt(q)) is enough at the precision in use.
+    root_set holds the roots of Z.P as find_roots returns them; pass the
+    RhReport.root_set of check_rh to avoid solving twice.  Requires the
+    functional equation with sign -1, which is what forces the pairing;
+    greedy matching with the given tolerance (default 1e-6/sqrt(q)) is
+    enough at the precision the roots carry.
     """
     if functional_equation_sign(Z) != -1:
         raise ValueError("root pairing applies to sign -1 zeta polynomials")
     q = Z.context.q
     if tolerance is None:
         tolerance = 1e-6 / math.sqrt(q)
-    rs = find_roots(Z.P, precision_bits)
-    return roots_pair_up(rs.roots, q, tolerance, precision_bits)
+    return roots_pair_up(root_set.roots, q, tolerance, root_set.precision_bits)
 
 
-_INV_SQRT2 = QuadRational(0, Fraction(1, 2), 2)     # sqrt(2)/2 = 1/sqrt(2)
+def _root_multiplicity(p: UniPoly, root: Fraction) -> int:
+    """How many times (T - root) divides the nonzero polynomial p."""
+    count = 0
+    quot, rem = p.divmod_linear(root)
+    while not rem:
+        count += 1
+        quot, rem = quot.divmod_linear(root)
+    return count
 
 
 def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
     """Exact multiplicities of the roots +1/sqrt(2) and -1/sqrt(2).
 
-    Lifts the coefficients into Q(sqrt 2) and divides out (T -+ 1/sqrt 2)
-    while the remainder is exactly zero.  Parity statements must never
-    depend on a numeric tolerance, so nothing here is floating point.
+    For rational P the two roots are Galois conjugates, so both have the
+    multiplicity m of 2T^2 - 1.  Writing P(T) = E(T^2) + T*O(T^2), the
+    power (2T^2 - 1)^m divides P exactly when (2S - 1)^m divides both E
+    and O, so m is the smaller multiplicity of S = 1/2 among the nonzero
+    parts.  Everything stays in Q: parity statements must never depend on
+    a numeric tolerance.  The zero polynomial gives (0, 0).
     """
-    out = []
-    for root in (_INV_SQRT2, -_INV_SQRT2):
-        poly = P.map_coefficients(lambda c: QuadRational(c, 0, 2))
-        count = 0
-        while not poly.is_zero() and poly.degree >= 1:
-            quot, rem = poly.divmod_linear(root)
-            if rem:
-                break
-            count += 1
-            poly = quot
-        out.append(count)
-    return tuple(out)
+    if P.is_zero():
+        return (0, 0)
+    parts = (UniPoly(P.coeffs[0::2]), UniPoly(P.coeffs[1::2]))
+    m = min(_root_multiplicity(part, Fraction(1, 2))
+            for part in parts if not part.is_zero())
+    return (m, m)
 
 
 @dataclass(frozen=True)

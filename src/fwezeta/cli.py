@@ -20,13 +20,14 @@ from .analysis import (DEFAULT_PRECISION_BITS, DEFAULT_RH_TOLERANCE,
                        exact_sqrt2_multiplicities, mallows_sloane_bound,
                        verify_root_pairing)
 from .files import (EnumeratorFormatError, enumerator_to_document,
-                    load_golden_table, read_enumerator_file,
+                    load_golden_table, read_enumerator_file, write_document,
                     write_enumerator_file)
 from .fwe import (build_extremal, check_invariance_g8,
                   is_formal_weight_enumerator, symmetry_checks)
 from .zeta import (EnumeratorContext, compute_zeta, functional_equation_sign,
                    macwilliams_transform, zeta_oracle)
 
+MIN_GOLDEN_DEGREE = 12     # the smallest formal weight enumerator, W12
 MAX_GOLDEN_DEGREE = 196
 
 
@@ -61,6 +62,14 @@ def _read_input(args):
         raise EnumeratorFormatError(f"cannot read {args.input}: {e}") from e
 
 
+def _write_output(write, value, path) -> None:
+    """write(value, path) for --output; an unwritable path is a usage error."""
+    try:
+        write(value, path)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def cmd_zeta(args) -> int:
     W = _read_input(args)
     ctx = EnumeratorContext(W, args.q)
@@ -93,9 +102,7 @@ def cmd_transform(args) -> int:
     T = macwilliams_transform(W, args.q)
     doc = enumerator_to_document(T)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_output(write_document, doc, args.output)
     _emit(args, doc, [f"degree = {T.degree}", str(T)])
     return 0
 
@@ -120,7 +127,7 @@ def cmd_check(args) -> int:
         f"degree = 4 (mod 8):        {tag(sym.degree_mod_8_is_4)}",
         f"even number of terms:      {tag(sym.term_count_even)}",
         f"symmetric in x, y:         {tag(sym.swap_symmetric)}",
-        f"G8 invariant over Q(i):    {tag(inv)}",
+        f"G8 invariant:              {tag(inv)}",
         f"formal weight enumerator:  {'yes' if fc.ok else 'no'}",
     ]
     for reason in fc.failures:
@@ -142,7 +149,7 @@ def cmd_extremal(args) -> int:
     lines += [f"  {c} * {e}" for e, c in comb.terms]
     lines.append(_half_notation(comb.expanded))
     if args.output:
-        write_enumerator_file(comb.expanded, args.output)
+        _write_output(write_enumerator_file, comb.expanded, args.output)
         lines.append(f"wrote {args.output}")
     _emit(args, payload, lines)
     return 0
@@ -202,10 +209,10 @@ def cmd_bound(args) -> int:
 
 
 def _golden_map(max_degree: int):
-    if max_degree > MAX_GOLDEN_DEGREE:
+    if not MIN_GOLDEN_DEGREE <= max_degree <= MAX_GOLDEN_DEGREE:
         raise ValueError(
-            f"golden data ends at degree {MAX_GOLDEN_DEGREE}; "
-            f"got --max-degree {max_degree}")
+            f"golden data covers degrees {MIN_GOLDEN_DEGREE} to "
+            f"{MAX_GOLDEN_DEGREE}; got --max-degree {max_degree}")
     return {e.n: e for e in load_golden_table() if e.n <= max_degree}
 
 
@@ -252,8 +259,8 @@ def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
     checks["sqrt2_multiplicities_odd"] = mplus % 2 == 1 and mminus % 2 == 1
     lead, const = Z.P.coefficient(Z.P.degree), Z.P.coefficient(0)
     checks["root_product"] = const / lead == Fraction(-1, 2 ** Z.g)
-    checks["root_pairing"] = verify_root_pairing(Z, precision_bits=precision)
     report = check_rh(Z, tol, precision)
+    checks["root_pairing"] = verify_root_pairing(Z, report.root_set)
     checks["rh"] = report.holds
     bound = mallows_sloane_bound("fwe", n, comb.d)
     checks["bound_tight"] = bool(bound.tight)
@@ -269,7 +276,7 @@ def cmd_verify_all(args) -> int:
     golden = _golden_map(args.max_degree)
     results = []
     lines = []
-    for n in range(12, args.max_degree + 1, 8):
+    for n in range(MIN_GOLDEN_DEGREE, args.max_degree + 1, 8):
         res = _verify_degree(n, golden.get(n), args.precision, args.tol)
         results.append(res)
         if res["ok"]:

@@ -39,12 +39,7 @@ def format_rational(value: Fraction) -> str:
 
 def enumerator_to_document(W: HomogeneousPoly) -> dict:
     """Sparse JSON document for a polynomial, indices in ascending order."""
-    coeffs = {}
-    for i in sorted(W.support()):
-        c = W.coefficient(i)
-        if not isinstance(c, Fraction):
-            raise EnumeratorFormatError("enumerator files hold rational coefficients only")
-        coeffs[str(i)] = format_rational(c)
+    coeffs = {str(i): format_rational(W.coefficient(i)) for i in W.support()}
     return {"degree": W.degree, "coefficients": coeffs}
 
 
@@ -80,13 +75,18 @@ def read_enumerator_file(path) -> HomogeneousPoly:
     return enumerator_from_document(doc)
 
 
+def write_document(doc: dict, path) -> None:
+    """Write a JSON document, indented and newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def write_enumerator_file(W: HomogeneousPoly, path) -> None:
     doc = enumerator_to_document(W)
     if doc["coefficients"].get("0") != "1":
         raise EnumeratorFormatError("refusing to write a non-monic enumerator file")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_document(doc, path)
 
 
 @dataclass(frozen=True)

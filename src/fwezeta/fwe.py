@@ -16,8 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .algebra import (HomogeneousPoly, Matrix2, QuadRational,
-                      SingularMatrixError, solve_linear, substitute_linear)
+from .algebra import HomogeneousPoly, SingularMatrixError, solve_linear
 from .zeta import macwilliams_transform
 
 W8 = HomogeneousPoly(8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
@@ -150,18 +149,25 @@ def symmetry_checks(W: HomogeneousPoly) -> SymmetryReport:
     return SymmetryReport(n % 8 == 4, terms % 2 == 0, palindrome)
 
 
-# column-convention generators of G8 over Q(i); h = (1 - i)/2
-_H = QuadRational(Fraction(1, 2), Fraction(-1, 2), -1)
-_SIGMA_1 = Matrix2(_H, -_H, _H, _H)
-_SIGMA_2 = Matrix2(QuadRational(0, -1, -1), QuadRational(0, 0, -1),
-                   QuadRational(0, 0, -1), QuadRational(1, 0, -1))
-
-
 def check_invariance_g8(W: HomogeneousPoly) -> bool:
-    """Exact invariance of W under both generators of G8, computed in Q(i)."""
-    lifted = W.lift_quadratic(-1)
-    return (substitute_linear(lifted, _SIGMA_1, "column") == lifted
-            and substitute_linear(lifted, _SIGMA_2, "column") == lifted)
+    """Exact invariance of W under both generators of G8, decided over Q.
+
+    The column-convention generators are sigma_2 = diag(-i, 1) and
+    sigma_1 = h*(1 -1; 1 1) with h = (1 - i)/2.  sigma_2 scales the
+    coefficient at index k by (-i)^(n-k), so it fixes W exactly when
+    4 | n - k for every k in the support.  sigma_1 maps W to
+    h^n W(x - y, x + y); as h^2 = -i/2, h^n is rational only when 4 | n,
+    and then equals (-1)^(n/4) 2^(-n/2).  On that support every k is
+    even, so W(x - y, x + y) is the binary MacWilliams substitution
+    W(x + y, x - y) with y -> -y, and sigma_1 fixes W exactly when the
+    transform is (-1)^(n/4) W.  The zero polynomial is invariant.
+    """
+    if W.is_zero():
+        return True
+    n = W.degree
+    return (n % 4 == 0
+            and all((n - k) % 4 == 0 for k in W.support())
+            and macwilliams_transform(W, 2) == W * (-1) ** (n // 4))
 
 
 def enumerate_basis(n: int) -> list:

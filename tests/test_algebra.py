@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fwezeta.algebra import (HomogeneousPoly, Matrix2, QuadRational,
-                             SingularMatrixError, UniPoly,
-                             apply_diff_operator, exact_divide, solve_linear,
-                             substitute_linear)
+from fwezeta.algebra import (HomogeneousPoly, Matrix2, SingularMatrixError,
+                             UniPoly, apply_diff_operator, exact_divide,
+                             solve_linear, substitute_linear)
 from fwezeta.fwe import W8, W12
 
 F = Fraction
@@ -15,45 +14,6 @@ F = Fraction
 def rand_poly(rng, degree, span=9):
     return HomogeneousPoly(
         degree, [F(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(degree + 1)])
-
-
-class TestQuadRational:
-    def test_gaussian_arithmetic(self):
-        i = QuadRational(0, 1, -1)
-        assert i * i == -1
-        h = QuadRational(F(1, 2), F(-1, 2), -1)   # (1 - i)/2
-        assert h * h == QuadRational(0, F(-1, 2), -1)
-        assert (h * 2 - 1) == -i
-
-    def test_sqrt2_arithmetic(self):
-        r = QuadRational(0, 1, 2)
-        assert r * r == 2
-        inv = 1 / r
-        assert inv == QuadRational(0, F(1, 2), 2)
-        assert r * inv == 1
-
-    def test_division_exact(self):
-        a = QuadRational(3, 5, 2)
-        b = QuadRational(-2, 7, 2)
-        assert (a / b) * b == a
-
-    def test_zero_iff_both_zero(self):
-        assert not QuadRational(0, 0, -1)
-        assert QuadRational(0, F(1, 3), 2)
-        assert QuadRational(F(-2), 0, 2)
-
-    def test_mixing_fields_is_an_error(self):
-        with pytest.raises(ValueError):
-            QuadRational(1, 1, -1) + QuadRational(1, 1, 2)
-        with pytest.raises(ValueError):
-            QuadRational(1, 1, -1) * QuadRational(0, 0, 2)
-
-    def test_rational_embedding(self):
-        q = QuadRational(F(3, 4), 0, 2)
-        assert q == F(3, 4)
-        assert F(1, 4) + q == 1
-        with pytest.raises(ValueError):
-            QuadRational(1, 0, 7)
 
 
 class TestPolyArithmetic:

@@ -83,12 +83,16 @@ class TestCheckRh:
         assert check_rh(Z, 10.0).holds
 
 
+def pairing_of(Z):
+    return verify_root_pairing(Z, find_roots(Z.P))
+
+
 class TestRootPairing:
     def test_p12(self):
-        assert verify_root_pairing(zeta_of(W12))
+        assert pairing_of(zeta_of(W12))
 
     def test_holds_even_when_rh_fails(self):
-        assert verify_root_pairing(zeta_of(W8 ** 3 * W12))
+        assert pairing_of(zeta_of(W8 ** 3 * W12))
 
     def test_unpaired_root_set(self):
         # the multiset {1} is not closed under alpha -> 1/(2*alpha)
@@ -98,7 +102,7 @@ class TestRootPairing:
 
     def test_requires_sign_minus_one(self):
         with pytest.raises(ValueError):
-            verify_root_pairing(zeta_of(W8))
+            pairing_of(zeta_of(W8))
 
 
 class TestSqrt2Multiplicities:
@@ -107,11 +111,17 @@ class TestSqrt2Multiplicities:
         assert exact_sqrt2_multiplicities(zeta_of(W8 ** 2 * W12).P) == (1, 1)
 
     def test_constructed_powers(self):
-        p = UniPoly([-1, 0, 2]) ** 3 * UniPoly([1, 0, 2])
-        assert exact_sqrt2_multiplicities(p) == (3, 3)
+        # cofactors with no root at +-1/sqrt(2): 1, T, T - 1, 2T^2 + 1, T^3 + T + 1
+        cofactors = [UniPoly([1]), UniPoly([0, 1]), UniPoly([-1, 1]),
+                     UniPoly([1, 0, 2]), UniPoly([1, 1, 0, 1])]
+        for a in range(6):
+            for C in cofactors:
+                p = UniPoly([-1, 0, 2]) ** a * C
+                assert exact_sqrt2_multiplicities(p) == (a, a), (a, C)
 
     def test_no_sqrt2_roots(self):
         assert exact_sqrt2_multiplicities(UniPoly([1, 1])) == (0, 0)
+        assert exact_sqrt2_multiplicities(UniPoly([])) == (0, 0)
 
     def test_product_of_roots_rule(self):
         for W in (W12, W8 * W12, W8 ** 3 * W12):

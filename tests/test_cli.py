@@ -61,6 +61,13 @@ class TestTransformCommand:
                      "--output", str(out_path)]) == 0
         assert read_enumerator_file(out_path) == W8
 
+    def test_unwritable_output(self, w12_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "t.json"
+        assert main(["transform", "--input", w12_file,
+                     "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out_path}" in err and "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_w12_passes(self, w12_file, capsys):
@@ -93,6 +100,12 @@ class TestExtremalCommand:
 
     def test_bad_degree(self, capsys):
         assert main(["extremal", "--degree", "21"]) == 2
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.json"
+        assert main(["extremal", "--degree", "12", "--output", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out_path}" in err and "Traceback" not in err
 
 
 class TestRhCommand:
@@ -140,6 +153,10 @@ class TestTableCommand:
     def test_rejects_past_golden_data(self, capsys):
         assert main(["table", "--max-degree", "200"]) == 2
 
+    def test_rejects_below_smallest_degree(self, capsys):
+        assert main(["table", "--max-degree", "4", "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_mismatch_reported(self, capsys, monkeypatch):
         from fractions import Fraction
         from fwezeta import cli
@@ -162,3 +179,7 @@ class TestVerifyAllCommand:
         assert doc["ok"] is True
         assert [r["n"] for r in doc["results"]] == [12, 20]
         assert all(r["checks"]["rh"] for r in doc["results"])
+
+    def test_rejects_below_smallest_degree(self, capsys):
+        assert main(["verify-all", "--max-degree", "4"]) == 2
+        assert "all degrees verified" not in capsys.readouterr().out

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fwezeta.algebra import HomogeneousPoly
 from fwezeta.fwe import (W8, W12, W24_PRIME, FweBasisElement, build_extremal,
@@ -67,6 +70,43 @@ class TestSymmetryChecks:
         assert not rep.degree_mod_8_is_4 and not rep.ok
 
 
+def g8_invariant_over_gaussian_rationals(W):
+    """Reference for check_invariance_g8: substitute both generators of G8
+    literally, over Q(i), and compare.  Column convention, h = (1 - i)/2:
+    sigma_1 = h*(1 -1; 1 1) and sigma_2 = diag(-i, 1)."""
+    x, y = sympy.symbols("x y")
+    n = W.degree
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** (n - k) * y ** k
+               for k, c in enumerate(W.coeffs))
+    h = (1 - sympy.I) / 2
+    images = (expr.subs({x: h * (x - y), y: h * (x + y)}, simultaneous=True),
+              expr.subs({x: -sympy.I * x}, simultaneous=True))
+    return all(sympy.expand(image - expr) == 0 for image in images)
+
+
+_small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def g8_candidates(draw):
+    """Rational W of degree 0..16: either arbitrary (often sparse)
+    coefficients, or a combination of the invariants W8^a W12^b of the
+    degree, sometimes disturbed at one index, so both verdicts occur."""
+    n = draw(st.one_of(st.sampled_from((0, 4, 8, 12, 16)), st.integers(0, 16)))
+    if n % 4 or not draw(st.booleans()):
+        coeff = st.one_of(st.just(F(0)), _small_rationals)
+        return HomogeneousPoly(n, draw(st.lists(coeff, min_size=n + 1,
+                                                max_size=n + 1)))
+    W = HomogeneousPoly.zero(n)
+    for a in range(n // 8 + 1):
+        if (n - 8 * a) % 12 == 0:
+            W = W + W8 ** a * W12 ** ((n - 8 * a) // 12) * draw(_small_rationals)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        W = W + HomogeneousPoly.from_sparse(n, {k: draw(_small_rationals)})
+    return W
+
+
 class TestInvarianceG8:
     def test_generators_invariant(self):
         assert check_invariance_g8(W8)
@@ -74,6 +114,17 @@ class TestInvarianceG8:
 
     def test_x4_plus_y4_not_invariant(self):
         assert not check_invariance_g8(HomogeneousPoly(4, [1, 0, 0, 0, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g8_candidates())
+    @example(HomogeneousPoly.zero(4))
+    @example(HomogeneousPoly(6, [0, 0, 1, 0, 0, 0, 1]))    # n = 2 (mod 4)
+    @example(W8)
+    @example(HomogeneousPoly(4, [1, 0, 0, 0, 1]))
+    @example(HomogeneousPoly(2, [1, 0, 1]) ** 4)   # transform-fixed, off the support
+    @example(HomogeneousPoly(5, [0, 0, 0, 0, 0, 1]))  # odd degree, on the support
+    def test_matches_literal_substitution_over_q_i(self, W):
+        assert check_invariance_g8(W) == g8_invariant_over_gaussian_rationals(W)
 
 
 class TestBasis:
