@@ -20,8 +20,8 @@ from .fwe import (W8, W12, W24_PRIME, FweBasisElement, FweCheck,
                   enumerate_basis, extremal_min_index, generator,
                   is_formal_weight_enumerator, min_weight_index,
                   symmetry_checks)
-from .zeta import (EnumeratorContext, ZetaPolynomial, ZetaSolveSystem,
-                   compute_zeta, functional_equation_sign, genus,
-                   macwilliams_transform, zeta_oracle)
+from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
+                   functional_equation_sign, genus, macwilliams_transform,
+                   zeta_oracle)
 
 __version__ = "0.1.0"

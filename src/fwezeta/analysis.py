@@ -18,7 +18,8 @@ import mpmath as mp
 
 from .algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
                       exact_divide, substitute_linear)
-from .fwe import is_formal_weight_enumerator, min_weight_index
+from .fwe import (extremal_min_index, is_formal_weight_enumerator,
+                  min_weight_index)
 from .zeta import ZetaPolynomial, functional_equation_sign
 
 DEFAULT_PRECISION_BITS = 256
@@ -137,8 +138,11 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
     """Numerically verify that every root of P has modulus 1/sqrt(q).
 
     The per-root deviation is | |z| * sqrt(q) - 1 |; the report keeps the
-    maximum and the offending roots.  Monotone in the tolerance.
+    maximum and the offending roots.  Monotone in the tolerance, which
+    must be finite and positive: with nan or inf no root could offend.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     q = Z.context.q
     target = 1 / math.sqrt(q)
     if Z.P.degree < 1:
@@ -329,7 +333,7 @@ def mallows_sloane_bound(kind: str, n: int,
     elif kind == "fwe":
         if n % 8 != 4 or n < 12:
             raise ValueError(f"fwe bound needs degree 4 mod 8 and >= 12, got {n}")
-        bound = 4 * ((n - 12) // 24) + 4
+        bound = extremal_min_index(n)
     else:
         raise ValueError(f"kind must be 'type2' or 'fwe', got {kind!r}")
     tight = None if observed_d is None else observed_d == bound

@@ -15,7 +15,7 @@ from importlib import resources
 
 from .algebra import HomogeneousPoly
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
 
 
 class EnumeratorFormatError(ValueError):
@@ -24,7 +24,7 @@ class EnumeratorFormatError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string; rejects anything not already in
-    lowest terms with a positive denominator (e.g. "2/4", "-0", "03")."""
+    lowest terms with a positive denominator (e.g. "2/4", "-0", "03", "1/0")."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise EnumeratorFormatError(f"not a rational string: {text!r}")
     value = Fraction(text)

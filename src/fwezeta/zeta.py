@@ -7,12 +7,14 @@ degree at most n - d whose product with the generating function
     f(T) = (y(1-T) + xT)^n / ((1-T)(1-qT))
 
 has (W - x^n)/(q-1) as its T^(n-d) coefficient.  This module computes P
-two independent ways: a fast triangular back-substitution
-(:func:`compute_zeta`) and a deliberately different brute-force route
-(:func:`zeta_oracle`) kept solely as a cross-check.
+two independent ways: in closed form from the binomial moments of W
+(:func:`compute_zeta`), and by a deliberately different brute-force
+solve of the dense defining system (:func:`zeta_oracle`), kept solely as
+a cross-check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,61 +59,32 @@ class ZetaPolynomial:
 
     @property
     def g(self) -> Optional[int]:
-        """n/2 + 1 - d when the degree is even, else None."""
-        if self.context.n % 2:
-            return None
-        return self.context.n // 2 + 1 - self.context.d
-
-
-@dataclass(frozen=True)
-class ZetaSolveSystem:
-    """The exact linear system defining P(T).
-
-    series[k] is the T^k coefficient 1 + q + ... + q^k of
-    1/((1-T)(1-qT)); rows[i][m] is the coefficient of x^m y^(n-m) in the
-    T^i coefficient of f(T), for m <= i (everything above the diagonal
-    vanishes because that T^i coefficient has x-degree at most i); and
-    target[m] is the x^m y^(n-m) coefficient of (W - x^n)/(q-1).
-    """
-
-    series: tuple
-    rows: tuple
-    target: tuple
-
-    @classmethod
-    def build(cls, ctx: EnumeratorContext) -> "ZetaSolveSystem":
-        n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
-        series = [(q ** (k + 1) - 1) // (q - 1) for k in range(nd + 1)]
-        # beta[j][m]: coefficient of x^m in C(n,j) (x-y)^j
-        beta = [[math.comb(n, j) * math.comb(j, m) * (-1 if (j - m) % 2 else 1)
-                 for m in range(j + 1)] for j in range(nd + 1)]
-        rows = [tuple(sum(series[i - j] * beta[j][m] for j in range(m, i + 1))
-                      for m in range(i + 1)) for i in range(nd + 1)]
-        target = tuple(Fraction(ctx.W.coefficient(n - m), q - 1) for m in range(nd + 1))
-        return cls(tuple(series), tuple(rows), target)
-
-    def diagonal(self) -> tuple:
-        return tuple(row[i] for i, row in enumerate(self.rows))
+        """genus(n, d) when the degree is even, else None."""
+        ctx = self.context
+        return None if ctx.n % 2 else genus(ctx.n, ctx.d)
 
 
 def compute_zeta(ctx: EnumeratorContext) -> ZetaPolynomial:
-    """Solve the defining triangular system by back-substitution.
+    """P(T) in closed form from the binomial moments of W.
 
-    Matching the x^m y^(n-m) coefficients for m = n-d down to 0
-    determines a_0, ..., a_{n-d} one at a time; the pivot for the new
-    unknown at step m is the diagonal entry C(n, m), never zero.
-    Trailing zero coefficients of the solution are trimmed.
+    Write y(1-T) + xT = y + (x-y)T and let c_k be the T^k coefficient of
+    P(T)/((1-T)(1-qT)).  On the basis y^(n-j) (x-y)^j, the T^(n-d)
+    coefficient of P(T) f(T) is C(n, j) c_(n-d-j).  With a_i the
+    coefficient of x^i y^(n-i), substituting x = (x-y) + y gives
+    (W - x^n)/(q-1) the coefficient sum_{i=j}^{n-1} a_i C(i, j)/(q-1) on
+    the same basis element, zero for j > n-d because a_i = 0 for
+    n-d < i < n.  Since C(n, j) != 0,
+
+        c_(n-d-j) = sum_i a_i C(i, j) / ((q-1) C(n, j)),   j = 0..n-d,
+
+    and P is unique: it is (sum_k c_k T^k)(1-T)(1-qT) cut at degree n-d.
     """
-    nd = ctx.n - ctx.d
-    sys_ = ZetaSolveSystem.build(ctx)
-    a = [Fraction(0)] * (nd + 1)
-    for m in range(nd, -1, -1):
-        k = nd - m
-        acc = sys_.target[m]
-        for kk in range(k):
-            acc -= a[kk] * sys_.rows[nd - kk][m]
-        a[k] = acc / sys_.rows[m][m]
-    return ZetaPolynomial(UniPoly(a), ctx)
+    n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
+    a = [ctx.W.coefficient(n - i) for i in range(nd + 1)]
+    c = [Fraction(sum(a[i] * math.comb(i, j) for i in range(j, nd + 1)),
+                  (q - 1) * math.comb(n, j)) for j in range(nd, -1, -1)]
+    product = UniPoly(c) * UniPoly([1, -1]) * UniPoly([1, -q])
+    return ZetaPolynomial(UniPoly(product.coeffs[:nd + 1]), ctx)
 
 
 def _series_term_polys(ctx: EnumeratorContext) -> list:
@@ -162,11 +135,14 @@ def genus(n: int, d: int) -> int:
     return n // 2 + 1 - d
 
 
+@functools.lru_cache(typed=True)
 def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
     """q^(-n/2) * W(x + (q-1)y, x - y), computed entirely over Q.
 
     The even-degree restriction is what makes the q^(-n/2) scale rational;
-    odd degrees would need sqrt(q) and are rejected.
+    odd degrees would need sqrt(q) and are rejected.  Cached, because the
+    FWE, G8 and divisibility checks all transform the same W; typed, so a
+    cached q = 2 does not let q = 2.0 through the integer check.
     """
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")

@@ -82,6 +82,11 @@ class TestCheckRh:
         assert not check_rh(Z, 1e-9).holds
         assert check_rh(Z, 10.0).holds
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            check_rh(zeta_of(W8 ** 3 * W12), tolerance)
+
 
 def pairing_of(Z):
     return verify_root_pairing(Z, find_roots(Z.P))

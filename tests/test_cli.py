@@ -79,6 +79,12 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "transform negates W:       FAIL" in out
 
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"degree": 4, "coefficients": {"0": "1", "4": "1/0"}}')
+        assert main(["check", "--input", str(bad)]) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestExtremalCommand:
     def test_degree_36(self, tmp_path, capsys):
@@ -121,6 +127,14 @@ class TestRhCommand:
         write_enumerator_file(W8 ** 3 * W12, path)
         assert main(["rh", "--input", str(path)]) == 1
         assert "offending root" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        path = tmp_path / "w.json"
+        write_enumerator_file(W12 ** 3, path)
+        assert main(["rh", "--input", str(path), "--tol", tol]) == 2
+        assert main(["verify-all", "--max-degree", "12", "--tol", tol]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestDivisibilityCommand:

@@ -20,7 +20,8 @@ class TestRationalStrings:
         assert parse_rational("11/12") == F(11, 12)
         assert parse_rational("0") == 0
 
-    @pytest.mark.parametrize("bad", ["2/4", "-0", "03", "1/-2", "1.5", "", "x", "5/1"])
+    @pytest.mark.parametrize("bad", ["2/4", "-0", "03", "1/-2", "1.5", "", "x", "5/1",
+                                     "1/0", "-3/0"])
     def test_rejects_non_canonical(self, bad):
         with pytest.raises(EnumeratorFormatError):
             parse_rational(bad)
