@@ -11,7 +11,8 @@ from .analysis import (BoundReport, DivisibilityReport, RhReport,
                        RootFindingError, RootSet, check_divisibility,
                        check_operator_substitution, check_rh,
                        derivative_closed_form, exact_sqrt2_multiplicities,
-                       find_roots, mallows_sloane_bound, verify_root_pairing)
+                       find_roots, mallows_sloane_bound,
+                       self_reciprocal_reduction, verify_root_pairing)
 from .files import (EnumeratorFormatError, GoldenTableEntry,
                     load_golden_table, read_enumerator_file,
                     write_enumerator_file)

@@ -1,11 +1,13 @@
-"""Verification layer: numeric root location at arbitrary precision,
-modulus and pairing checks for zeta polynomial roots, exact root
-multiplicities at +-1/sqrt(2), the derivative divisibility property and
-the minimum-index bounds.
+"""Verification layer: the root modulus (Riemann hypothesis) check and
+root pairing for zeta polynomials, numeric root location at arbitrary
+precision, exact root multiplicities at +-1/sqrt(2), the derivative
+divisibility property and the minimum-index bounds.
 
-Everything discrete (multiplicities, divisibility, bounds) is exact;
-only root moduli are numeric, at a caller-chosen binary precision with
-per-root residual estimates.
+Everything discrete (multiplicities, pairing, divisibility, bounds) is
+exact.  The root modulus check is exact too whenever a sign-change
+certificate over Q succeeds; only when it does not are roots located
+numerically, at a caller-chosen binary precision with per-root residual
+estimates.
 """
 from __future__ import annotations
 
@@ -101,14 +103,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                     f"no convergence after {max_iterations} iterations "
                     f"(last update {mp.nstr(biggest, 5)})")
             roots += z
-            for zk in z:
-                pv = c[deg]
-                scale = abs(c[deg])
-                az = abs(zk)
-                for i in range(deg - 1, -1, -1):
-                    pv = pv * zk + c[i]
-                    scale = scale * az + abs(c[i])
-                residuals.append(abs(pv) / scale if scale else abs(pv))
+            residuals += [_residual_bound(c, zk) for zk in z]
         return RootSet(tuple(roots), precision_bits, tuple(residuals), iterations)
 
 
@@ -124,7 +119,11 @@ def _aberth_initial(c, deg):
 
 @dataclass(frozen=True)
 class RhReport:
-    """Do all roots have modulus 1/sqrt(q)?"""
+    """Do all roots have modulus 1/sqrt(q)?
+
+    root_set is None when a sign-change count over Q proved the answer
+    without locating any root (the deviation is then 0.0).
+    """
 
     holds: bool
     target_modulus: float
@@ -132,22 +131,177 @@ class RhReport:
     offending_roots: tuple
     root_set: Optional[RootSet]
 
+    @property
+    def certificate(self) -> str:
+        """"exact" when proved over Q, "numeric" when the verdict rests
+        on root_set."""
+        return "exact" if self.root_set is None else "numeric"
+
+
+def _divide_out_quadratic(P: UniPoly, q: int) -> tuple:
+    """(m, Q) with P = (qT^2 - 1)^m * Q and m maximal, for nonzero P.
+
+    Writing P(T) = E(T^2) + T*O(T^2), the even polynomial (qT^2 - 1)^m
+    divides P exactly when (qS - 1)^m divides both E and O, so m is the
+    smaller multiplicity of S = 1/q among the nonzero parts, and the
+    quotients of the two parts reassemble Q.
+    """
+    if P.is_zero():
+        raise ValueError("the zero polynomial has no such factorisation")
+    parts = (UniPoly(P.coeffs[0::2]), UniPoly(P.coeffs[1::2]))
+    m = 0
+    while True:
+        divided = [part.divmod_linear(Fraction(1, q)) for part in parts]
+        if any(rem for _, rem in divided):
+            break
+        parts = tuple(quot for quot, _ in divided)
+        m += 1
+    coeffs = [Fraction(0)] * (P.degree - 2 * m + 1)
+    for parity, part in enumerate(parts):
+        for i, c in enumerate(part.coeffs):
+            coeffs[2 * i + parity] = c
+    return m, UniPoly(coeffs) * Fraction(1, q ** m)
+
+
+def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
+    """(m, R) with P(T) = (qT^2 - 1)^m * T^k * R(T + 1/(qT)), k = deg R.
+
+    P must have a functional equation: deg P = 2g and
+    P(T) = eps q^g T^(2g) P(1/(qT)) with eps = +-1.  Under that involution
+    qT^2 - 1 has sign -1, so once its highest power is divided out the
+    quotient Q, of degree 2k, has sign +1 (sign -1 would force
+    Q(+-1/sqrt(q)) = 0): b_(k+i) = q^i b_(k-i) for its coefficients b.
+    Pairing the terms of Q(T)/T^k gives b_k + sum_i b_(k+i) s_i with
+    s_i = T^i + (qT)^(-i), a polynomial in w = T + 1/(qT) through
+    s_0 = 2, s_1 = w, s_(i+1) = w s_i - s_(i-1)/q.  Raises ValueError
+    when P has no functional equation.
+    """
+    m, Q = _divide_out_quadratic(P, q)
+    k, b = Q.degree // 2, Q.coeffs
+    if Q.degree % 2 or any(b[k + i] != q ** i * b[k - i] for i in range(1, k + 1)):
+        raise ValueError("P has no functional equation under T -> 1/(qT)")
+    w = UniPoly([0, 1])
+    R = UniPoly([b[k]])
+    s_prev, s = UniPoly([2]), w
+    for i in range(1, k + 1):
+        R = R + s * b[k + i]
+        s_prev, s = s, w * s - s_prev * Fraction(1, q)
+    return m, R
+
+
+# The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
+# doubled this many times before it falls back to root finding; the grid
+# points are dyadic rationals a / 2^_GRID_BITS.
+CERTIFICATE_DOUBLINGS = 3
+_GRID_BITS = 40
+
+
+def chebyshev_grid(q: int, points: int) -> list:
+    """Numerators a, ascending, of the dyadic roundings a / 2^40 of the
+    Chebyshev points (2/sqrt(q)) cos((2j+1) pi / (2 points)), keeping
+    those with q (a / 2^40)^2 < 4 exactly.  Only their order matters to
+    the certificate, so float rounding cannot make it unsound."""
+    scale = 2 / math.sqrt(q) * 2 ** _GRID_BITS
+    numerators = {round(scale * math.cos((2 * j + 1) * math.pi / (2 * points)))
+                  for j in range(points)}
+    return sorted(a for a in numerators if q * a * a < 4 << (2 * _GRID_BITS))
+
+
+def _sign_changes(R: UniPoly, q: int, points: int) -> int:
+    """Sign changes of R along chebyshev_grid(q, points), skipping zeros.
+
+    Each change brackets its own root of R inside (-2/sqrt(q), 2/sqrt(q)),
+    so the count is a lower bound on the distinct roots there.  Values
+    are exact: den * 2^(40k) * R(a / 2^40) by Horner on integers.
+    """
+    k = R.degree
+    den = math.lcm(*(c.denominator for c in R.coeffs))
+    r = [int(c * den) for c in R.coeffs]
+    changes, last = 0, 0
+    for a in chebyshev_grid(q, points):
+        value = r[k]
+        for i in range(k - 1, -1, -1):
+            value = value * a + (r[i] << (_GRID_BITS * (k - i)))
+        sign = (value > 0) - (value < 0)
+        if sign and last and sign != last:
+            changes += 1
+        last = sign or last
+    return changes
+
+
+def _certify_on_circle(R: UniPoly, q: int) -> bool:
+    """True when deg R sign changes prove that R has deg R distinct real
+    roots in (-2/sqrt(q), 2/sqrt(q)); False only means "not proved"."""
+    points = 2 * R.degree + 2
+    for _ in range(CERTIFICATE_DOUBLINGS + 1):
+        if _sign_changes(R, q, points) >= R.degree:
+            return True
+        points *= 2
+    return False
+
+
+def _residual_bound(c, z):
+    """|p(z)| / sum_i |c_i| |z|^i for the mp coefficients c of p."""
+    pv = c[-1]
+    scale = abs(c[-1])
+    az = abs(z)
+    for ci in reversed(c[:-1]):
+        pv = pv * z + ci
+        scale = scale * az + abs(ci)
+    return abs(pv) / scale if scale else abs(pv)
+
+
+def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
+                          precision_bits: int) -> RootSet:
+    """The roots of P from those of R: each root w of R gives the two
+    roots alpha, 1/(q alpha) of qT^2 - qwT + 1, and +-1/sqrt(q) come m
+    times each.  Residual bounds are taken against P itself."""
+    rs = find_roots(R, precision_bits)
+    with mp.workprec(precision_bits + 32):
+        fixed = mp.mpc(1 / mp.sqrt(q))
+        roots = [fixed, -fixed] * m
+        for w in rs.roots:
+            root = mp.sqrt(w * w - mp.mpf(4) / q)
+            # the larger-modulus root first, so neither suffers cancellation
+            alpha = max((w + root) / 2, (w - root) / 2, key=abs)
+            roots += [alpha, 1 / (q * alpha)]
+        c = [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs]
+        residuals = [_residual_bound(c, z) for z in roots]
+    return RootSet(tuple(roots), precision_bits, tuple(residuals), rs.iterations)
+
 
 def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
              precision_bits: int = DEFAULT_PRECISION_BITS) -> RhReport:
-    """Numerically verify that every root of P has modulus 1/sqrt(q).
+    """Decide whether every root of P has modulus 1/sqrt(q).
 
+    When P has a functional equation (n even, sign +-1) the decision is
+    made over Q first: with P = (qT^2 - 1)^m T^k R(w), w = T + 1/(qT)
+    (self_reciprocal_reduction), a root has modulus 1/sqrt(q) exactly
+    when its w is real with q w^2 < 4, so k sign changes of R on a
+    rational grid inside that interval prove RH with no tolerance and no
+    root finding (certificate "exact").  Otherwise roots are located
+    numerically (certificate "numeric"): those of R, of degree k, mapped
+    back to T when P has a functional equation, else those of P itself.
     The per-root deviation is | |z| * sqrt(q) - 1 |; the report keeps the
-    maximum and the offending roots.  Monotone in the tolerance, which
-    must be finite and positive: with nan or inf no root could offend.
+    maximum and the roots beyond the tolerance.  Monotone in the
+    tolerance, which must be finite and positive (with nan or inf no root
+    could offend); precision_bits must be at least 53 on either path.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    if precision_bits < 53:
+        raise ValueError("precision_bits must be at least 53")
     q = Z.context.q
     target = 1 / math.sqrt(q)
     if Z.P.degree < 1:
         return RhReport(True, target, 0.0, (), None)
-    rs = find_roots(Z.P, precision_bits)
+    if Z.context.n % 2 == 0 and functional_equation_sign(Z) is not None:
+        m, R = self_reciprocal_reduction(Z.P, q)
+        if _certify_on_circle(R, q):
+            return RhReport(True, target, 0.0, (), None)
+        rs = _roots_from_reduction(Z.P, q, m, R, precision_bits)
+    else:
+        rs = find_roots(Z.P, precision_bits)
     with mp.workprec(precision_bits + 32):
         sq = mp.sqrt(q)
         devs = [abs(abs(z) * sq - 1) for z in rs.roots]
@@ -156,74 +310,42 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
     return RhReport(not offending, target, float(worst), offending, rs)
 
 
-def roots_pair_up(roots, q: int, tolerance: float,
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
-    """Greedy check that a root multiset is closed under alpha -> 1/(q*alpha).
+def verify_root_pairing(Z: ZetaPolynomial) -> bool:
+    """Exact check that the roots of P off +-1/sqrt(q) split into pairs
+    (alpha, 1/(q*alpha)), with multiplicity.
 
-    Roots within the tolerance of the fixed points +-1/sqrt(q) pair with
-    themselves and are set aside; every other root must find a distinct
-    partner within the tolerance of its image.
-    """
-    with mp.workprec(precision_bits + 32):
-        fixed = 1 / mp.sqrt(q)
-        tol = mp.mpf(tolerance)
-        remaining = [mp.mpc(z) for z in roots
-                     if min(abs(mp.mpc(z) - fixed), abs(mp.mpc(z) + fixed)) > tol]
-        while remaining:
-            alpha = remaining.pop()
-            partner = 1 / (q * alpha)
-            best = min(range(len(remaining)),
-                       key=lambda i: abs(remaining[i] - partner), default=None)
-            if best is None or abs(remaining[best] - partner) > tol:
-                return False
-            remaining.pop(best)
-    return True
-
-
-def verify_root_pairing(Z: ZetaPolynomial, root_set: RootSet,
-                        tolerance: Optional[float] = None) -> bool:
-    """Check that the numeric roots off +-1/sqrt(q) split into pairs
-    (alpha, 1/(q*alpha)).
-
-    root_set holds the roots of Z.P as find_roots returns them; pass the
-    RhReport.root_set of check_rh to avoid solving twice.  Requires the
-    functional equation with sign -1, which is what forces the pairing;
-    greedy matching with the given tolerance (default 1e-6/sqrt(q)) is
-    enough at the precision the roots carry.
+    Expands (qT^2 - 1)^m T^k R(T + 1/(qT)) from self_reciprocal_reduction
+    by a second route, T^k w^i = T^(k-i) (T^2 + 1/q)^i, and compares it
+    with P over Q.  In that product +-1/sqrt(q) are the fixed points of
+    alpha -> 1/(q*alpha), and each root w_i of R contributes the factor
+    qT^2 - q w_i T + 1, whose two roots the map swaps; so equality is the
+    pairing.  Requires the functional equation with sign -1, the case of
+    formal weight enumerators.
     """
     if functional_equation_sign(Z) != -1:
         raise ValueError("root pairing applies to sign -1 zeta polynomials")
     q = Z.context.q
-    if tolerance is None:
-        tolerance = 1e-6 / math.sqrt(q)
-    return roots_pair_up(root_set.roots, q, tolerance, root_set.precision_bits)
-
-
-def _root_multiplicity(p: UniPoly, root: Fraction) -> int:
-    """How many times (T - root) divides the nonzero polynomial p."""
-    count = 0
-    quot, rem = p.divmod_linear(root)
-    while not rem:
-        count += 1
-        quot, rem = quot.divmod_linear(root)
-    return count
+    m, R = self_reciprocal_reduction(Z.P, q)
+    k = R.degree
+    lift = UniPoly([Fraction(1, q), 0, 1])          # T^2 + 1/q = T * w
+    expanded = UniPoly([R.coefficient(k)])
+    for i in range(k - 1, -1, -1):
+        expanded = expanded * lift + UniPoly([0] * (k - i) + [R.coefficient(i)])
+    return UniPoly([-1, 0, q]) ** m * expanded == Z.P
 
 
 def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
     """Exact multiplicities of the roots +1/sqrt(2) and -1/sqrt(2).
 
     For rational P the two roots are Galois conjugates, so both have the
-    multiplicity m of 2T^2 - 1.  Writing P(T) = E(T^2) + T*O(T^2), the
-    power (2T^2 - 1)^m divides P exactly when (2S - 1)^m divides both E
-    and O, so m is the smaller multiplicity of S = 1/2 among the nonzero
-    parts.  Everything stays in Q: parity statements must never depend on
-    a numeric tolerance.  The zero polynomial gives (0, 0).
+    multiplicity m of 2T^2 - 1, found from the even/odd split of P (see
+    _divide_out_quadratic).  Everything stays in Q: parity statements
+    must never depend on a numeric tolerance.  The zero polynomial gives
+    (0, 0).
     """
     if P.is_zero():
         return (0, 0)
-    parts = (UniPoly(P.coeffs[0::2]), UniPoly(P.coeffs[1::2]))
-    m = min(_root_multiplicity(part, Fraction(1, 2))
-            for part in parts if not part.is_zero())
+    m = _divide_out_quadratic(P, 2)[0]
     return (m, m)
 
 

@@ -16,6 +16,10 @@ from importlib import resources
 from .algebra import HomogeneousPoly
 
 _RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
+# Largest degree an enumerator file may claim.  The golden data stops at
+# 196; the exact layers cost roughly quadratic time in the degree, so an
+# unbounded claim would let a tiny file run for minutes.
+MAX_DEGREE = 1024
 
 
 class EnumeratorFormatError(ValueError):
@@ -47,8 +51,10 @@ def enumerator_from_document(doc) -> HomogeneousPoly:
     if not isinstance(doc, dict):
         raise EnumeratorFormatError("document must be a JSON object")
     degree = doc.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise EnumeratorFormatError(f"bad degree: {degree!r}")
+    if (not isinstance(degree, int) or isinstance(degree, bool)
+            or not 1 <= degree <= MAX_DEGREE):
+        raise EnumeratorFormatError(
+            f"bad degree: {degree!r} (must be an integer from 1 to {MAX_DEGREE})")
     coeffs = doc.get("coefficients")
     if not isinstance(coeffs, dict):
         raise EnumeratorFormatError("missing coefficients map")

@@ -3,22 +3,56 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fwezeta import analysis
 from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator
-from fwezeta.analysis import (check_divisibility, check_operator_substitution,
-                              check_rh, derivative_closed_form,
+from fwezeta.analysis import (RootFindingError, check_divisibility,
+                              check_operator_substitution, check_rh,
+                              chebyshev_grid, derivative_closed_form,
                               exact_sqrt2_multiplicities, find_roots,
-                              mallows_sloane_bound, verify_root_pairing)
+                              mallows_sloane_bound, self_reciprocal_reduction,
+                              verify_root_pairing)
 from fwezeta.fwe import W8, W12, build_extremal
-from fwezeta.zeta import EnumeratorContext, compute_zeta
+from fwezeta.zeta import EnumeratorContext, ZetaPolynomial, compute_zeta
 
 F = Fraction
 
 DIFF_OP = HomogeneousPoly(6, [0, 1, 0, 0, 0, -1, 0])
 
+# the W8^s W12^k of the RH table in the acceptance suite whose RH fails
+RH_FALSE_PRODUCTS = [(3, 1), (0, 3), (4, 1), (1, 3), (5, 1), (2, 3),
+                     (6, 1), (3, 3), (0, 5)]
+
 
 def zeta_of(W, q=2):
     return compute_zeta(EnumeratorContext(W, q))
+
+
+def zeta_with(P, q):
+    """P as the zeta polynomial of a context with n = deg P and d = 1,
+    so that genus(n, d) = deg P / 2 and the functional equation applies."""
+    W = HomogeneousPoly.from_sparse(P.degree, {0: 1, 1: 1})
+    return ZetaPolynomial(P, EnumeratorContext(W, q))
+
+
+def deviations(roots, q):
+    with mp.workprec(300):
+        return [abs(abs(z) * mp.sqrt(q) - 1) for z in roots]
+
+
+def full_degree_verdict(P, q, tolerance=1e-9):
+    """RH on P as decided by Aberth on all of P, the numeric reference."""
+    return all(dv <= tolerance for dv in deviations(find_roots(P).roots, q))
+
+
+def from_pairs(c, q, m, ws):
+    """c * (qT^2 - 1)^m * prod_i (qT^2 - q w_i T + 1)."""
+    P = UniPoly([-1, 0, q]) ** m * c
+    for w in ws:
+        P = P * UniPoly([1, -q * w, q])
+    return P
 
 
 class TestFindRoots:
@@ -66,12 +100,51 @@ class TestCheckRh:
         rep = check_rh(zeta_of(W12))
         assert rep.holds and rep.max_relative_deviation < 1e-9
         assert rep.offending_roots == ()
+        assert rep.certificate == "exact" and rep.root_set is None
 
     def test_w8_cubed_w12_fails(self):
         rep = check_rh(zeta_of(W8 ** 3 * W12))
         assert not rep.holds
         assert rep.offending_roots
         assert rep.max_relative_deviation > 0.1
+        assert rep.certificate == "numeric"
+        # the roots of R, of degree g - m, mapped back: all 2g roots of P
+        assert len(rep.root_set.roots) == 30
+        assert max(rep.root_set.residual_bounds) < mp.mpf(2) ** -200
+
+    def test_certificate_kinds(self, all_zetas):
+        for n, Z in all_zetas.items():
+            assert check_rh(Z).certificate == "exact", f"n={n}"
+        for s, k in [(0, 1), (1, 1), (2, 1)]:
+            assert check_rh(zeta_of(W8 ** s * W12 ** k)).certificate == "exact"
+        for s, k in RH_FALSE_PRODUCTS:
+            assert check_rh(zeta_of(W8 ** s * W12 ** k)).certificate == "numeric"
+
+    def test_rh_false_products_name_full_degree_roots(self):
+        # the offending roots found through R of degree g - m are those of
+        # Aberth on all of P, as a multiset, to 1e-30
+        for s, k in RH_FALSE_PRODUCTS:
+            Z = zeta_of(W8 ** s * W12 ** k)
+            rep = check_rh(Z)
+            full = find_roots(Z.P).roots
+            reference = [z for z, dv in zip(full, deviations(full, 2)) if dv > 1e-9]
+            assert len(rep.offending_roots) == len(reference) > 0, (s, k)
+            for z in rep.offending_roots:
+                match = min(range(len(reference)), key=lambda i: abs(reference[i] - z))
+                assert abs(reference.pop(match) - z) < 1e-30, (s, k)
+
+    def test_rejects_low_precision_on_either_path(self):
+        # the exact path computes no roots, yet must validate like the numeric one
+        for W in (W12, W8 ** 3 * W12):
+            with pytest.raises(ValueError):
+                check_rh(zeta_of(W), precision_bits=16)
+
+    def test_odd_degree_takes_full_degree_path(self):
+        # n odd: no functional equation, Aberth runs on P itself
+        Z = zeta_of(HomogeneousPoly.from_sparse(7, {0: 1, 3: 5, 7: 1}))
+        rep = check_rh(Z)
+        assert rep.certificate == "numeric"
+        assert rep.root_set == find_roots(Z.P)
 
     def test_extremal_36_holds(self):
         rep = check_rh(zeta_of(build_extremal(36).expanded))
@@ -89,7 +162,7 @@ class TestCheckRh:
 
 
 def pairing_of(Z):
-    return verify_root_pairing(Z, find_roots(Z.P))
+    return verify_root_pairing(Z)
 
 
 class TestRootPairing:
@@ -99,15 +172,100 @@ class TestRootPairing:
     def test_holds_even_when_rh_fails(self):
         assert pairing_of(zeta_of(W8 ** 3 * W12))
 
-    def test_unpaired_root_set(self):
-        # the multiset {1} is not closed under alpha -> 1/(2*alpha)
-        from fwezeta.analysis import roots_pair_up
-        assert not roots_pair_up([mp.mpc(1)], 2, 1e-6)
-        assert roots_pair_up([mp.mpc(1), mp.mpc(0.5)], 2, 1e-6)
+    def test_detects_wrong_reduction(self, monkeypatch):
+        # the check re-expands the reduction, so a wrong R cannot pass
+        def off_by_one(P, q):
+            m, R = self_reciprocal_reduction(P, q)
+            return m, R + UniPoly([1])
+        monkeypatch.setattr(analysis, "self_reciprocal_reduction", off_by_one)
+        assert not pairing_of(zeta_of(W12))
 
     def test_requires_sign_minus_one(self):
         with pytest.raises(ValueError):
             pairing_of(zeta_of(W8))
+
+
+_ws = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def paired_polynomials(draw):
+    """(q, m, ws, P) with P = c (qT^2 - 1)^m prod (qT^2 - q w_i T + 1):
+    up to three w_i, inside and outside (-2/sqrt(q), 2/sqrt(q)), sometimes
+    one of them twice, never on the boundary (where the root of P at
+    +-1/sqrt(q) would be triple and Aberth on P would not converge)."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    m = draw(st.sampled_from((1, 3, 5)))
+    ws = draw(st.lists(_ws.filter(lambda w: q * w * w != 4), max_size=3, unique=True))
+    if ws and len(ws) < 3 and draw(st.booleans()):
+        ws.append(ws[0])
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    return q, m, ws, from_pairs(c, q, m, ws)
+
+
+class TestSelfReciprocalReduction:
+    @settings(max_examples=25, deadline=None)
+    @given(paired_polynomials())
+    def test_constructed_products(self, case):
+        q, m, ws, P = case
+        c = P.coefficient(P.degree) / q ** (m + len(ws))
+        R = UniPoly([c * q ** len(ws)])
+        for w in ws:
+            R = R * UniPoly([-w, 1])
+        assert self_reciprocal_reduction(P, q) == (m, R)
+        Z = zeta_with(P, q)
+        assert verify_root_pairing(Z)
+        report = check_rh(Z)
+        if report.certificate == "exact":
+            assert all(q * w * w < 4 for w in ws) and len(set(ws)) == len(ws)
+        # Aberth on P stalls at a triple root +-1/sqrt(q), so for m >= 3 the
+        # reference is P with m = 1; roots of modulus 1/sqrt(q) exactly
+        # cannot change the verdict
+        reference = P if m == 1 else from_pairs(c, q, 1, ws)
+        assert report.holds == full_degree_verdict(reference, q)
+
+    def test_triple_fixed_roots_decided(self):
+        # today's full-degree Aberth cannot converge on this P; the reduction
+        # divides (2T^2 - 1)^3 out exactly and certifies the rest
+        P = from_pairs(F(1), 2, 3, [F(1, 3), F(-1, 2)])
+        with pytest.raises(RootFindingError):
+            find_roots(P)
+        report = check_rh(zeta_with(P, 2))
+        assert report.holds and report.certificate == "exact"
+
+    def test_grid_point_is_exact_root(self):
+        # roots of R on the first grid itself are skipped as zeros; in the
+        # second case a root shares a grid interval with a grid root, so
+        # only a refined grid separates them
+        k = 3
+        grid = [F(a, 2 ** 40) for a in chebyshev_grid(2, 2 * k + 2)]
+        on_grid = from_pairs(F(1), 2, 1, [grid[1], grid[4], grid[6]])
+        report = check_rh(zeta_with(on_grid, 2))
+        assert report.holds and report.certificate == "exact"
+        shared = from_pairs(F(1), 2, 1, [grid[1], (grid[1] + grid[2]) / 2, grid[6]])
+        _, R = self_reciprocal_reduction(shared, 2)
+        assert analysis._sign_changes(R, 2, 2 * k + 2) < k
+        report = check_rh(zeta_with(shared, 2))
+        assert report.holds and report.certificate == "exact"
+
+    def test_boundary_root_falls_back(self):
+        # q = 4, w = 1 = 2/sqrt(q): T = 1/2 is a double root of the
+        # quotient, on the circle, but w is not strictly inside the interval
+        P = from_pairs(F(1), 4, 1, [F(1), F(1, 3)])
+        report = check_rh(zeta_with(P, 4))
+        assert report.certificate == "numeric" and report.holds
+
+    def test_sign_plus_one(self):
+        # W8 and W8^2 have sign +1: m = 0 and Q = P
+        rep = check_rh(zeta_of(W8))
+        assert self_reciprocal_reduction(zeta_of(W8).P, 2) == (0, UniPoly([F(2, 5), F(2, 5)]))
+        assert rep.certificate == "exact" and rep.holds
+        Z = zeta_of(W8 ** 2)
+        assert check_rh(Z).holds == full_degree_verdict(Z.P, 2)
+
+    def test_rejects_polynomial_without_functional_equation(self):
+        with pytest.raises(ValueError):
+            self_reciprocal_reduction(UniPoly([1, 1, 1]), 2)
 
 
 class TestSqrt2Multiplicities:

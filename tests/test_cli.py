@@ -79,6 +79,14 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "transform negates W:       FAIL" in out
 
+    def test_degree_past_limit_is_input_error(self, tmp_path, capsys):
+        from fwezeta.files import MAX_DEGREE
+        bad = tmp_path / "big.json"
+        n = MAX_DEGREE + 1
+        bad.write_text(f'{{"degree": {n}, "coefficients": {{"0": "1", "{n}": "1"}}}}')
+        assert main(["check", "--input", str(bad)]) == 2
+        assert "bad degree" in capsys.readouterr().err
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"degree": 4, "coefficients": {"0": "1", "4": "1/0"}}')
@@ -127,6 +135,35 @@ class TestRhCommand:
         write_enumerator_file(W8 ** 3 * W12, path)
         assert main(["rh", "--input", str(path)]) == 1
         assert "offending root" in capsys.readouterr().out
+
+    def test_certificate_in_json(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        write_enumerator_file(W12, path)
+        assert main(["rh", "--input", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate"] == "exact" and doc["max_relative_deviation"] == 0.0
+        assert doc["iterations"] is None and doc["max_residual_bound"] is None
+        write_enumerator_file(W8 ** 3 * W12, path)
+        assert main(["rh", "--input", str(path), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate"] == "numeric" and doc["iterations"] > 0
+        assert 0 <= doc["max_residual_bound"] < 1e-60
+
+    def test_certificate_in_text(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        write_enumerator_file(W12, path)
+        assert main(["rh", "--input", str(path)]) == 0
+        assert "certificate: exact" in capsys.readouterr().out
+        write_enumerator_file(W8 ** 3 * W12, path)
+        assert main(["rh", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "certificate: numeric (" in out and "Aberth iterations" in out
+        assert "max residual bound" in out
+
+    def test_low_precision_is_usage_error(self, w12_file, capsys):
+        # W12 is certified exactly, with no root finding, yet the flag is checked
+        assert main(["rh", "--input", w12_file, "--precision", "16"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, tol):
@@ -193,6 +230,13 @@ class TestVerifyAllCommand:
         assert doc["ok"] is True
         assert [r["n"] for r in doc["results"]] == [12, 20]
         assert all(r["checks"]["rh"] for r in doc["results"])
+        for r in doc["results"]:
+            assert r["rh_certificate"] == "exact" and r["max_rh_deviation"] == 0.0
+            assert r["rh_iterations"] is None and r["rh_max_residual_bound"] is None
+
+    def test_low_precision_is_usage_error(self, capsys):
+        assert main(["verify-all", "--max-degree", "12", "--precision", "16"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_rejects_below_smallest_degree(self, capsys):
         assert main(["verify-all", "--max-degree", "4"]) == 2

@@ -49,6 +49,16 @@ class TestEnumeratorFiles:
             enumerator_from_document(
                 {"degree": 4, "coefficients": {"0": "1", "7": "2"}})
 
+    def test_degree_limit(self):
+        from fwezeta.files import MAX_DEGREE
+        W = enumerator_from_document(
+            {"degree": MAX_DEGREE, "coefficients": {"0": "1"}})
+        assert W.degree == MAX_DEGREE
+        for degree in (MAX_DEGREE + 1, 10 ** 9):
+            with pytest.raises(EnumeratorFormatError):
+                enumerator_from_document(
+                    {"degree": degree, "coefficients": {"0": "1"}})
+
     def test_requires_monic(self):
         with pytest.raises(EnumeratorFormatError):
             enumerator_from_document({"degree": 4, "coefficients": {"4": "1"}})

@@ -1,0 +1,31 @@
+"""Guards on what the package loads and what the exact RH certificate
+runs on."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from fwezeta import analysis
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # start-up time of every command: the CLI must not pull in numpy,
+    # sympy or scipy, directly or through a dependency
+    code = ("import sys, fwezeta.cli; "
+            "print(' '.join(m for m in ('numpy', 'sympy', 'scipy') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
+
+
+def test_certificate_runs_on_rationals_and_integers():
+    # the exact path of check_rh must not touch mpmath: its functions
+    # name only fractions, math and integer arithmetic
+    for fn in (analysis._divide_out_quadratic, analysis.self_reciprocal_reduction,
+               analysis.chebyshev_grid, analysis._sign_changes,
+               analysis._certify_on_circle):
+        assert "mp" not in fn.__code__.co_names, fn.__name__
