@@ -19,10 +19,9 @@ from .files import (EnumeratorFormatError, GoldenTableEntry,
 from .fwe import (W8, W12, W24_PRIME, FweBasisElement, FweCheck,
                   FweCombination, build_extremal, check_invariance_g8,
                   enumerate_basis, extremal_min_index, generator,
-                  is_formal_weight_enumerator, min_weight_index,
-                  symmetry_checks)
+                  is_formal_weight_enumerator, symmetry_checks)
 from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
                    functional_equation_sign, genus, macwilliams_transform,
-                   zeta_oracle)
+                   min_weight_index, zeta_oracle)
 
 __version__ = "0.1.0"

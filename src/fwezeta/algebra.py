@@ -1,11 +1,14 @@
-"""Exact arithmetic over Q: homogeneous bivariate and univariate
-polynomials, linear substitution, differential operators, exact division
-and an exact linear solver.
+"""Exact arithmetic over Q: one dense polynomial core shared by
+homogeneous bivariate and univariate polynomials, linear substitution,
+differential operators, exact division and an exact linear solver.
 
 Every value is immutable and every operation is exact; nothing in this
 module ever rounds.  Scalars are plain ``fractions.Fraction`` (ints are
 promoted on entry); no irrational number is ever needed, because every
-identity the package checks has a rational form.
+identity the package checks has a rational form.  Both polynomial shapes
+are a coefficient vector under the same product (index i times index j
+lands at i + j), so :class:`_DensePoly` carries the arithmetic once and
+each shape adds only its constructor, its addition rule and its helpers.
 """
 from __future__ import annotations
 
@@ -27,7 +30,79 @@ def _as_scalar(value):
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
-class HomogeneousPoly:
+class _DensePoly:
+    """Immutable dense coefficient vector ``coeffs`` with the arithmetic
+    both polynomial shapes share.  Results are built by ``_new(coeffs)``,
+    so each subclass applies its own shape rule to them; values of
+    different subclasses never compare equal or combine."""
+
+    __slots__ = ("coeffs",)
+
+    @classmethod
+    def _new(cls, coeffs):
+        return cls(coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coefficient(self, i: int):
+        """Entry i of the vector (zero outside the index range)."""
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return Fraction(0)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if not a:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] += a * b
+            return self._new(out)
+        try:
+            s = _as_scalar(other)
+        except TypeError:
+            return NotImplemented
+        return self._new([c * s for c in self.coeffs])
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative polynomial power")
+        result = self._new([1])
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+
+class HomogeneousPoly(_DensePoly):
     """Dense homogeneous bivariate polynomial of fixed nominal degree.
 
     ``coeffs[i]`` is the coefficient of x^(n-i) * y^i, so the vector has
@@ -36,7 +111,7 @@ class HomogeneousPoly:
     shape information for derivatives and quotients.
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Iterable):
         coeffs = tuple(_as_scalar(c) for c in coeffs)
@@ -45,11 +120,11 @@ class HomogeneousPoly:
         if len(coeffs) != degree + 1:
             raise ValueError(
                 f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousPoly is immutable")
+    @classmethod
+    def _new(cls, coeffs):
+        return cls(len(coeffs) - 1, coeffs)
 
     @classmethod
     def zero(cls, degree: int) -> "HomogeneousPoly":
@@ -64,15 +139,6 @@ class HomogeneousPoly:
             coeffs[i] = _as_scalar(c)
         return cls(degree, coeffs)
 
-    def coefficient(self, i: int):
-        """Coefficient of x^(n-i) y^i (zero outside the index range)."""
-        if 0 <= i <= self.degree:
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
@@ -84,50 +150,6 @@ class HomogeneousPoly:
                 f"cannot add degree {self.degree} and degree {other.degree}")
         return HomogeneousPoly(
             self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return HomogeneousPoly(self.degree, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, HomogeneousPoly):
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return HomogeneousPoly(self.degree + other.degree, out)
-        try:
-            s = _as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return HomogeneousPoly(self.degree, [c * s for c in self.coeffs])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = HomogeneousPoly(0, [1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        return self.degree == other.degree and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
 
     def __repr__(self):
         return f"HomogeneousPoly({self.degree}, {list(self.coeffs)!r})"
@@ -157,12 +179,12 @@ class HomogeneousPoly:
         return out
 
 
-class UniPoly:
+class UniPoly(_DensePoly):
     """Univariate polynomial with ascending coefficients, kept canonical
     (no trailing zero coefficients; the zero polynomial is the empty
     vector and reports degree -1)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
         coeffs = [_as_scalar(c) for c in coeffs]
@@ -170,72 +192,28 @@ class UniPoly:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
 
-    def __sub__(self, other):
+    def __divmod__(self, other):
+        """Long division: (quotient, remainder) with
+        self == other * quotient + remainder and deg remainder < deg other."""
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
-                return UniPoly([])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return UniPoly(out)
-        try:
-            s = _as_scalar(other)
-        except TypeError:
-            return NotImplemented
-        return UniPoly([c * s for c in self.coeffs])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly([1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        b, rem, top = other.coeffs, list(self.coeffs), other.degree
+        quot = [Fraction(0)] * max(len(rem) - top, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            quot[k] = coef = rem[k + top] / b[top]
+            if coef:
+                # this term cancels rem[k + top] exactly; only lower entries change
+                for j in range(top):
+                    rem[k + j] -= coef * b[j]
+        return UniPoly(quot), UniPoly(rem[:top])
 
     def evaluate(self, z):
         """Horner evaluation; works for any scalar supporting * and +."""
@@ -243,21 +221,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * z + c
         return acc if acc is not None else Fraction(0)
-
-    def divmod_linear(self, root):
-        """Synthetic division by (T - root): returns (quotient, remainder).
-
-        The remainder equals ``self.evaluate(root)``; the division is exact
-        whenever the remainder is zero.
-        """
-        if self.is_zero():
-            return UniPoly([]), Fraction(0)
-        quot = [None] * (len(self.coeffs) - 1)
-        carry = self.coeffs[-1]
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            quot[i] = carry
-            carry = carry * root + self.coeffs[i]
-        return UniPoly(quot), carry
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
@@ -297,24 +260,15 @@ class Matrix2:
                        self.c * other.b + self.d * other.d)
 
 
-def substitute_linear(W: HomogeneousPoly, M: Matrix2,
-                      convention: str) -> HomogeneousPoly:
-    """Evaluate W at a linear change of variables, exactly.
+def substitute_linear(W: HomogeneousPoly, M: Matrix2) -> HomogeneousPoly:
+    """W(a*x + b*y, c*x + d*y), exactly: the column action of M.
 
-    convention="column" maps W(x, y) to W(a*x + b*y, c*x + d*y);
-    convention="row" maps it to W(a*x + c*y, b*x + d*y), i.e. the column
-    action of the transposed matrix.  Both appear in practice and silent
-    transposition is a classic bug, so the caller must always say which
-    one it wants.
+    Composes as substitute_linear(substitute_linear(W, M), N) ==
+    substitute_linear(W, M @ N).  The row action W(a*x + c*y, b*x + d*y)
+    is the column action of M.transpose().
     """
-    if convention == "column":
-        u = HomogeneousPoly(1, [M.a, M.b])
-        v = HomogeneousPoly(1, [M.c, M.d])
-    elif convention == "row":
-        u = HomogeneousPoly(1, [M.a, M.c])
-        v = HomogeneousPoly(1, [M.b, M.d])
-    else:
-        raise ValueError(f"convention must be 'row' or 'column', got {convention!r}")
+    u = HomogeneousPoly(1, [M.a, M.b])
+    v = HomogeneousPoly(1, [M.c, M.d])
     n = W.degree
     # Horner over the coefficient index: result = sum_i c_i u^(n-i) v^i
     acc = HomogeneousPoly(0, [W.coeffs[0]])
@@ -356,19 +310,19 @@ def apply_diff_operator(p: HomogeneousPoly, W: HomogeneousPoly) -> HomogeneousPo
 def _strip_y(W: HomogeneousPoly):
     """Split W = y^v * rest and dehomogenize rest at y = 1.
 
-    Returns (v, ascending x-coefficients).  The returned list has a
-    nonzero leading entry, so its length pins the x-degree exactly; any
-    power of x dividing W shows up as low-order zeros.
+    Returns (v, rest as a UniPoly in x).  Its degree pins the x-degree
+    of rest exactly; any power of x dividing W shows up as low-order
+    zeros.
     """
     v = next(i for i, c in enumerate(W.coeffs) if c)
-    return v, list(reversed(W.coeffs[v:]))
+    return v, UniPoly(reversed(W.coeffs[v:]))
 
 
 def exact_divide(A: HomogeneousPoly, B: HomogeneousPoly) -> Optional[HomogeneousPoly]:
     """Exact quotient Q with A = B*Q, or None when B does not divide A.
 
     Works by factoring the pure power of y out of each operand,
-    dehomogenizing at y = 1 and running exact univariate division with a
+    dehomogenizing at y = 1 and dividing the univariate parts with a
     zero-remainder check.
     """
     if B.is_zero():
@@ -377,31 +331,18 @@ def exact_divide(A: HomogeneousPoly, B: HomogeneousPoly) -> Optional[Homogeneous
         if A.degree >= B.degree:
             return HomogeneousPoly.zero(A.degree - B.degree)
         return None
-    if A.degree < B.degree:
-        return None
     va, a = _strip_y(A)
     vb, b = _strip_y(B)
-    if va < vb or len(a) < len(b):
+    if va < vb:
         return None
-    rem = list(a)
-    lead = b[-1]
-    qlen = len(a) - len(b) + 1
-    q = [Fraction(0)] * qlen
-    for k in range(qlen - 1, -1, -1):
-        coef = rem[k + len(b) - 1] / lead
-        q[k] = coef
-        if coef:
-            for j, bj in enumerate(b):
-                rem[k + j] -= coef * bj
-    if any(rem):
+    quot, rem = divmod(a, b)
+    if not rem.is_zero():
         return None
-    # q[j] carries x^j y^(qlen-1-j); restoring y^(va-vb) gives the
-    # homogeneous quotient of nominal degree deg A - deg B
-    deg_q = A.degree - B.degree
-    coeffs = [Fraction(0)] * (deg_q + 1)
-    for j, c in enumerate(q):
-        coeffs[(va - vb) + (qlen - 1 - j)] = c
-    return HomogeneousPoly(deg_q, coeffs)
+    # a and b end in nonzero coefficients, so quot has exactly
+    # deg A - deg B - (va - vb) + 1 of them, ascending in x; reversed and
+    # shifted by y^(va - vb) they fill the homogeneous quotient
+    return HomogeneousPoly(A.degree - B.degree,
+                           [0] * (va - vb) + list(reversed(quot.coeffs)))
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:

@@ -20,9 +20,8 @@ import mpmath as mp
 
 from .algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
                       exact_divide, substitute_linear)
-from .fwe import (extremal_min_index, is_formal_weight_enumerator,
-                  min_weight_index)
-from .zeta import ZetaPolynomial, functional_equation_sign
+from .fwe import extremal_min_index, is_formal_weight_enumerator
+from .zeta import ZetaPolynomial, functional_equation_sign, min_weight_index
 
 DEFAULT_PRECISION_BITS = 256
 DEFAULT_RH_TOLERANCE = 1e-9
@@ -149,10 +148,11 @@ def _divide_out_quadratic(P: UniPoly, q: int) -> tuple:
     if P.is_zero():
         raise ValueError("the zero polynomial has no such factorisation")
     parts = (UniPoly(P.coeffs[0::2]), UniPoly(P.coeffs[1::2]))
+    linear = UniPoly([Fraction(-1, q), 1])          # S - 1/q
     m = 0
     while True:
-        divided = [part.divmod_linear(Fraction(1, q)) for part in parts]
-        if any(rem for _, rem in divided):
+        divided = [divmod(part, linear) for part in parts]
+        if not all(rem.is_zero() for _, rem in divided):
             break
         parts = tuple(quot for quot, _ in divided)
         m += 1
@@ -425,9 +425,10 @@ def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,
     """
     if p.degree > A.degree:
         raise ValueError("operator degree exceeds target degree")
-    lhs = apply_diff_operator(p, substitute_linear(A, M, "row"))
-    transformed = substitute_linear(p, M.transpose(), "row")
-    rhs = substitute_linear(apply_diff_operator(transformed, A), M, "row")
+    row = M.transpose()                   # (x,y)M is the column action of M^T
+    lhs = apply_diff_operator(p, substitute_linear(A, row))
+    transformed = substitute_linear(p, M)
+    rhs = substitute_linear(apply_diff_operator(transformed, A), row)
     return lhs == rhs
 
 

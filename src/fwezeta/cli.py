@@ -375,10 +375,8 @@ def main(argv=None) -> int:
     except EnumeratorFormatError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except SingularMatrixError as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return 1
-    except (RootFindingError, ArithmeticError) as e:
+    # before ValueError, which SingularMatrixError subclasses
+    except (SingularMatrixError, RootFindingError, ArithmeticError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

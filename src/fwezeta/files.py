@@ -15,7 +15,9 @@ from importlib import resources
 
 from .algebra import HomogeneousPoly
 
-_RATIONAL_RE = re.compile(r"-?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d would also admit other scripts' digits, which
+# int() and Fraction() read as ordinary numbers
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 # Largest degree an enumerator file may claim.  The golden data stops at
 # 196; the exact layers cost roughly quadratic time in the degree, so an
 # unbounded claim would let a tiny file run for minutes.
@@ -60,7 +62,7 @@ def enumerator_from_document(doc) -> HomogeneousPoly:
         raise EnumeratorFormatError("missing coefficients map")
     entries = {}
     for key, text in coeffs.items():
-        if not re.fullmatch(r"0|[1-9]\d*", key):
+        if not re.fullmatch(r"0|[1-9][0-9]*", key):
             raise EnumeratorFormatError(f"bad coefficient index: {key!r}")
         index = int(key)
         if index > degree:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .algebra import HomogeneousPoly, SingularMatrixError, solve_linear
-from .zeta import macwilliams_transform
+from .zeta import macwilliams_transform, min_weight_index
 
 W8 = HomogeneousPoly(8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
 W12 = HomogeneousPoly(12, [1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1])
@@ -185,16 +185,6 @@ def enumerate_basis(n: int) -> list:
         t += 1
     out.sort(key=lambda e: -e.s)
     return out
-
-
-def min_weight_index(W: HomogeneousPoly) -> int:
-    """Smallest i >= 1 with a nonzero coefficient."""
-    if W.coefficient(0) != 1:
-        raise ValueError("enumerator must be monic in x")
-    d = next((i for i in range(1, W.degree + 1) if W.coefficient(i)), None)
-    if d is None:
-        raise ValueError("W = x^n has no minimum index")
-    return d
 
 
 def extremal_min_index(n: int) -> int:

@@ -24,6 +24,17 @@ from .algebra import (HomogeneousPoly, Matrix2, UniPoly, solve_linear,
                       substitute_linear)
 
 
+def min_weight_index(W: HomogeneousPoly) -> int:
+    """The minimum index d of W: the smallest i >= 1 with a nonzero
+    coefficient.  W must be monic in x and not x^n itself."""
+    if W.coefficient(0) != 1:
+        raise ValueError("enumerator must be monic in x (coefficient of x^n is 1)")
+    d = next((i for i in range(1, W.degree + 1) if W.coefficient(i)), None)
+    if d is None:
+        raise ValueError("W = x^n has no minimum index d and no zeta polynomial")
+    return d
+
+
 class EnumeratorContext:
     """A monic enumerator W with its degree n, minimum index d and field
     size q.  d is always inferred from W, never supplied by callers."""
@@ -33,14 +44,9 @@ class EnumeratorContext:
     def __init__(self, W: HomogeneousPoly, q: int = 2):
         if not isinstance(q, int) or q < 2:
             raise ValueError(f"q must be an integer >= 2, got {q!r}")
-        if W.coefficient(0) != 1:
-            raise ValueError("enumerator must be monic in x (coefficient of x^n is 1)")
-        d = next((i for i in range(1, W.degree + 1) if W.coefficient(i)), None)
-        if d is None:
-            raise ValueError("W = x^n has no minimum index d and no zeta polynomial")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "n", W.degree)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", min_weight_index(W))
         object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
@@ -149,7 +155,7 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
     if W.degree % 2:
         raise ValueError("transform needs an even-degree polynomial")
     M = Matrix2(Fraction(1), Fraction(q - 1), Fraction(1), Fraction(-1))
-    return substitute_linear(W, M, "column") * Fraction(1, q ** (W.degree // 2))
+    return substitute_linear(W, M) * Fraction(1, q ** (W.degree // 2))
 
 
 def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:

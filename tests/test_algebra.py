@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwezeta.algebra import (HomogeneousPoly, Matrix2, SingularMatrixError,
                              UniPoly, apply_diff_operator, exact_divide,
@@ -50,16 +52,15 @@ class TestPolyArithmetic:
 
 class TestSubstitution:
     def test_identity(self):
-        assert substitute_linear(W12, Matrix2.identity(), "column") == W12
-        assert substitute_linear(W12, Matrix2.identity(), "row") == W12
+        assert substitute_linear(W12, Matrix2.identity()) == W12
 
     def test_swap_fixes_w12(self):
         swap = Matrix2(F(0), F(1), F(1), F(0))
-        assert substitute_linear(W12, swap, "column") == W12
+        assert substitute_linear(W12, swap) == W12
 
     def test_transform_matrix_negates_w12(self):
         M = Matrix2(F(1), F(1), F(1), F(-1))
-        out = substitute_linear(W12, M, "column") * F(1, 2 ** 6)
+        out = substitute_linear(W12, M) * F(1, 2 ** 6)
         assert out == -W12
 
     def test_composition_column(self):
@@ -68,29 +69,8 @@ class TestSubstitution:
             W = rand_poly(rng, rng.randint(1, 5))
             M = Matrix2(*[F(rng.randint(-3, 3)) for _ in range(4)])
             N = Matrix2(*[F(rng.randint(-3, 3)) for _ in range(4)])
-            lhs = substitute_linear(substitute_linear(W, M, "column"), N, "column")
-            assert lhs == substitute_linear(W, M @ N, "column")
-
-    def test_composition_row(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            W = rand_poly(rng, rng.randint(1, 5))
-            M = Matrix2(*[F(rng.randint(-3, 3)) for _ in range(4)])
-            N = Matrix2(*[F(rng.randint(-3, 3)) for _ in range(4)])
-            lhs = substitute_linear(substitute_linear(W, M, "row"), N, "row")
-            assert lhs == substitute_linear(W, N @ M, "row")
-
-    def test_row_is_column_of_transpose(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            W = rand_poly(rng, rng.randint(1, 6))
-            M = Matrix2(*[F(rng.randint(-4, 4)) for _ in range(4)])
-            assert substitute_linear(W, M, "row") == \
-                substitute_linear(W, M.transpose(), "column")
-
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            substitute_linear(W8, Matrix2.identity(), "rows")
+            lhs = substitute_linear(substitute_linear(W, M), N)
+            assert lhs == substitute_linear(W, M @ N)
 
 
 DIFF_OP = HomogeneousPoly(6, [0, 1, 0, 0, 0, -1, 0])    # xy(x^4 - y^4)
@@ -159,6 +139,8 @@ class TestExactDivide:
         B = HomogeneousPoly(2, [1, 0, 0])
         assert exact_divide(A, B) is None
         assert exact_divide(A, HomogeneousPoly(1, [1, 0])) == HomogeneousPoly(1, [0, 1])
+        # x is not divisible by y, although at y = 1 the parts x and 1 divide
+        assert exact_divide(HomogeneousPoly(1, [1, 0]), HomogeneousPoly(1, [0, 1])) is None
 
     def test_zero_divisor_error(self):
         with pytest.raises(ValueError):
@@ -221,11 +203,89 @@ class TestUniPoly:
     def test_divmod_linear(self):
         # (T - 1)(T - 2) = T^2 - 3T + 2
         p = UniPoly([2, -3, 1])
-        q, r = p.divmod_linear(F(1))
-        assert r == 0 and q == UniPoly([-2, 1])
-        q2, r2 = p.divmod_linear(F(3))
-        assert r2 == p.evaluate(F(3)) == 2
+        q, r = divmod(p, UniPoly([-1, 1]))
+        assert r.is_zero() and q == UniPoly([-2, 1])
+        q2, r2 = divmod(p, UniPoly([-3, 1]))
+        assert r2 == UniPoly([p.evaluate(F(3))]) == UniPoly([2])
 
     def test_evaluate(self):
         p = UniPoly([1, 0, 2])
         assert p.evaluate(F(1, 2)) == F(3, 2)
+
+
+# The shared dense core: both polynomial shapes run the same product and
+# power, and UniPoly's divmod is the one long division exact_divide uses.
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+def unipolys(max_degree=6):
+    return st.lists(rationals, max_size=max_degree + 1).map(UniPoly)
+
+
+def homogeneous(max_degree=5):
+    return st.integers(0, max_degree).flatmap(
+        lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1).map(
+            lambda c: HomogeneousPoly(n, c)))
+
+
+def dehomogenize(W):
+    """W(x, 1) as a UniPoly in x: index i of W carries x^(n-i)."""
+    return UniPoly(reversed(W.coeffs))
+
+
+class TestDenseCore:
+    @settings(max_examples=150, deadline=None)
+    @given(unipolys(8), unipolys(5))
+    def test_divmod_identity(self, A, B):
+        if B.is_zero():
+            return
+        q, r = divmod(A, B)
+        assert B * q + r == A
+        assert r.degree < B.degree
+
+    def test_divmod_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(UniPoly([1, 2]), UniPoly([]))
+        with pytest.raises(ZeroDivisionError):
+            divmod(UniPoly([]), UniPoly([0, 0]))
+
+    def test_divmod_of_smaller_degree(self):
+        q, r = divmod(UniPoly([1, 1]), UniPoly([0, 0, 3]))
+        assert q.is_zero() and r == UniPoly([1, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous(), homogeneous(), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 3), st.integers(0, 3))
+    def test_exact_divide_round_trip_with_pure_powers(self, A, B, i, j, k, l):
+        # x^i y^j A divided by x^k y^l B: the pure powers of x and y are
+        # what exact_divide strips and restores around the division
+        if B.is_zero():
+            return
+        A = A * HomogeneousPoly.from_sparse(i + j, {j: 1})
+        B = B * HomogeneousPoly.from_sparse(k + l, {l: 1})
+        assert exact_divide(A * B, B) == A
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous(), homogeneous(), st.integers(0, 3))
+    def test_shapes_agree_through_dehomogenisation(self, A, B, k):
+        assert dehomogenize(A * B) == dehomogenize(A) * dehomogenize(B)
+        assert dehomogenize(A ** k) == dehomogenize(A) ** k
+        assert dehomogenize(-A) == -dehomogenize(A)
+        assert dehomogenize(A * F(3, 2)) == dehomogenize(A) * F(3, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(homogeneous())
+    def test_shapes_never_compare_equal(self, W):
+        U = UniPoly(W.coeffs)      # the same tuple unless W ends in zeros
+        assert W != U and U != W
+        with pytest.raises(TypeError):
+            W * U
+        with pytest.raises(TypeError):
+            W - U
+
+    def test_immutable_and_hashable(self):
+        for p in (W8, UniPoly([1, 2])):
+            with pytest.raises(AttributeError):
+                p.coeffs = ()
+        assert hash(W8 * 1) == hash(W8)
+        assert hash(UniPoly([1, 2, 0])) == hash(UniPoly([1, 2]))

@@ -330,7 +330,7 @@ class TestOperatorSubstitution:
         assert check_operator_substitution(DIFF_OP, W12, M)
         # under this matrix the right side collapses to -(sqrt 2)^12 p(D) W12
         from fwezeta.algebra import substitute_linear
-        rhs = apply_diff_operator(DIFF_OP, substitute_linear(W12, M, "row"))
+        rhs = apply_diff_operator(DIFF_OP, substitute_linear(W12, M.transpose()))
         assert rhs == -64 * apply_diff_operator(DIFF_OP, W12)
 
     def test_randomized_suite(self):

@@ -87,6 +87,14 @@ class TestCheckCommand:
         assert main(["check", "--input", str(bad)]) == 2
         assert "bad degree" in capsys.readouterr().err
 
+    def test_non_ascii_digit_key_is_input_error(self, tmp_path, capsys):
+        # the last key is "1" followed by an Arabic-Indic 3
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"degree": 13, "coefficients": '
+                       '{"0": "1", "13": "1", "1\u0663": "5"}}', encoding="utf-8")
+        assert main(["check", "--input", str(bad)]) == 2
+        assert "bad coefficient index" in capsys.readouterr().err
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"degree": 4, "coefficients": {"0": "1", "4": "1/0"}}')

@@ -21,7 +21,8 @@ class TestRationalStrings:
         assert parse_rational("0") == 0
 
     @pytest.mark.parametrize("bad", ["2/4", "-0", "03", "1/-2", "1.5", "", "x", "5/1",
-                                     "1/0", "-3/0"])
+                                     "1/0", "-3/0", "\u0665", "-\u0663/4",
+                                     "1/\u0664"])
     def test_rejects_non_canonical(self, bad):
         with pytest.raises(EnumeratorFormatError):
             parse_rational(bad)
@@ -76,6 +77,14 @@ class TestEnumeratorFiles:
             enumerator_from_document({"degree": "12", "coefficients": {"0": "1"}})
         with pytest.raises(EnumeratorFormatError):
             enumerator_from_document({"degree": 4, "coefficients": {"00": "1"}})
+
+    @pytest.mark.parametrize("key", ["1\u0663", "\u0664", "\uff14", "1\u09e9"])
+    def test_rejects_non_ascii_digit_keys(self, key):
+        # Arabic-Indic, fullwidth and Bengali digits: int() reads them, so
+        # "1\u0663" would land on index 13 and silently replace "13"
+        with pytest.raises(EnumeratorFormatError):
+            enumerator_from_document(
+                {"degree": 13, "coefficients": {"0": "1", "13": "1", key: "5"}})
 
     def test_writer_refuses_non_monic(self, tmp_path):
         with pytest.raises(EnumeratorFormatError):

@@ -1,5 +1,6 @@
-"""Guards on what the package loads and what the exact RH certificate
-runs on."""
+"""Guards on what the package loads, what the exact RH certificate runs
+on, and the functions the benchmark traces."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +30,16 @@ def test_certificate_runs_on_rationals_and_integers():
                analysis.chebyshev_grid, analysis._sign_changes,
                analysis._certify_on_circle):
         assert "mp" not in fn.__code__.co_names, fn.__name__
+
+
+def test_benchmark_spans_name_existing_functions():
+    # the traced benchmark wraps each (module, function) of perfbench/spec.py
+    # with getattr, so a renamed or deleted function must fail here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.SPANS
+    for module_name, function in module.SPANS:
+        package = importlib.import_module(f"fwezeta.{module_name}")
+        assert callable(getattr(package, function, None)), f"{module_name}.{function}"
