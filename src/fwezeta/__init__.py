@@ -18,7 +18,7 @@ from .files import (EnumeratorFormatError, GoldenTableEntry,
                     write_enumerator_file)
 from .fwe import (W8, W12, W24_PRIME, FweBasisElement, FweCheck,
                   FweCombination, build_extremal, check_invariance_g8,
-                  enumerate_basis, extremal_min_index, generator,
+                  enumerate_basis, extremal_min_index,
                   is_formal_weight_enumerator, symmetry_checks)
 from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
                    functional_equation_sign, genus, macwilliams_transform,

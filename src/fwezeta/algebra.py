@@ -225,17 +225,6 @@ class UniPoly(_DensePoly):
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            t = "1" if i == 0 else ("T" if i == 1 else f"T^{i}")
-            parts.append(str(c) if i == 0 else f"{c}*{t}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class Matrix2:
@@ -245,10 +234,6 @@ class Matrix2:
     b: object
     c: object
     d: object
-
-    @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
     def transpose(self) -> "Matrix2":
         return Matrix2(self.a, self.c, self.b, self.d)

@@ -48,8 +48,7 @@ class RootSet:
     iterations: int
 
 
-def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
-               max_iterations: int = MAX_ITERATIONS) -> RootSet:
+def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """All complex roots of P by the Aberth-Ehrlich simultaneous iteration.
 
     The rational coefficients are converted at the working precision and
@@ -74,7 +73,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
             z = _aberth_initial(c, deg)
             tol = mp.mpf(2) ** (-(precision_bits // 2))
             dc = [c[i] * i for i in range(1, deg + 1)]
-            for iterations in range(1, max_iterations + 1):
+            for iterations in range(1, MAX_ITERATIONS + 1):
                 biggest = mp.mpf(0)
                 for k in range(deg):
                     zk = z[k]
@@ -99,7 +98,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS,
                     break
             else:
                 raise RootFindingError(
-                    f"no convergence after {max_iterations} iterations "
+                    f"no convergence after {MAX_ITERATIONS} iterations "
                     f"(last update {mp.nstr(biggest, 5)})")
             roots += z
             residuals += [_residual_bound(c, zk) for zk in z]
@@ -138,29 +137,16 @@ class RhReport:
 
 
 def _divide_out_quadratic(P: UniPoly, q: int) -> tuple:
-    """(m, Q) with P = (qT^2 - 1)^m * Q and m maximal, for nonzero P.
-
-    Writing P(T) = E(T^2) + T*O(T^2), the even polynomial (qT^2 - 1)^m
-    divides P exactly when (qS - 1)^m divides both E and O, so m is the
-    smaller multiplicity of S = 1/q among the nonzero parts, and the
-    quotients of the two parts reassemble Q.
-    """
+    """(m, Q) with P = (qT^2 - 1)^m * Q and m maximal, for nonzero P."""
     if P.is_zero():
         raise ValueError("the zero polynomial has no such factorisation")
-    parts = (UniPoly(P.coeffs[0::2]), UniPoly(P.coeffs[1::2]))
-    linear = UniPoly([Fraction(-1, q), 1])          # S - 1/q
+    quadratic = UniPoly([-1, 0, q])
     m = 0
     while True:
-        divided = [divmod(part, linear) for part in parts]
-        if not all(rem.is_zero() for _, rem in divided):
-            break
-        parts = tuple(quot for quot, _ in divided)
-        m += 1
-    coeffs = [Fraction(0)] * (P.degree - 2 * m + 1)
-    for parity, part in enumerate(parts):
-        for i, c in enumerate(part.coeffs):
-            coeffs[2 * i + parity] = c
-    return m, UniPoly(coeffs) * Fraction(1, q ** m)
+        quot, rem = divmod(P, quadratic)
+        if not rem.is_zero():
+            return m, P
+        P, m = quot, m + 1
 
 
 def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
@@ -285,14 +271,18 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
     The per-root deviation is | |z| * sqrt(q) - 1 |; the report keeps the
     maximum and the roots beyond the tolerance.  Monotone in the
     tolerance, which must be finite and positive (with nan or inf no root
-    could offend); precision_bits must be at least 53 on either path.
+    could offend); precision_bits must be at least 53 on either path, and
+    q must fit a float, as the reported target modulus is one.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if precision_bits < 53:
         raise ValueError("precision_bits must be at least 53")
     q = Z.context.q
-    target = 1 / math.sqrt(q)
+    try:
+        target = 1 / math.sqrt(q)
+    except OverflowError:
+        raise ValueError("q is too large for a floating-point modulus") from None
     if Z.P.degree < 1:
         return RhReport(True, target, 0.0, (), None)
     if Z.context.n % 2 == 0 and functional_equation_sign(Z) is not None:
@@ -338,10 +328,9 @@ def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
     """Exact multiplicities of the roots +1/sqrt(2) and -1/sqrt(2).
 
     For rational P the two roots are Galois conjugates, so both have the
-    multiplicity m of 2T^2 - 1, found from the even/odd split of P (see
-    _divide_out_quadratic).  Everything stays in Q: parity statements
-    must never depend on a numeric tolerance.  The zero polynomial gives
-    (0, 0).
+    multiplicity m of 2T^2 - 1, divided out by _divide_out_quadratic.
+    Everything stays in Q: parity statements must never depend on a
+    numeric tolerance.  The zero polynomial gives (0, 0).
     """
     if P.is_zero():
         return (0, 0)

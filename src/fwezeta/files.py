@@ -34,18 +34,14 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise EnumeratorFormatError(f"not a rational string: {text!r}")
     value = Fraction(text)
-    if format_rational(value) != text:
+    if str(value) != text:
         raise EnumeratorFormatError(f"rational string not canonical: {text!r}")
     return value
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def enumerator_to_document(W: HomogeneousPoly) -> dict:
     """Sparse JSON document for a polynomial, indices in ascending order."""
-    coeffs = {str(i): format_rational(W.coefficient(i)) for i in W.support()}
+    coeffs = {str(i): str(W.coefficient(i)) for i in W.support()}
     return {"degree": W.degree, "coefficients": coeffs}
 
 
@@ -78,7 +74,7 @@ def read_enumerator_file(path) -> HomogeneousPoly:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise EnumeratorFormatError(f"invalid JSON: {e}") from e
     return enumerator_from_document(doc)
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .algebra import HomogeneousPoly, SingularMatrixError, solve_linear
+from .files import MAX_DEGREE
 from .zeta import macwilliams_transform, min_weight_index
 
 W8 = HomogeneousPoly(8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
@@ -24,16 +24,6 @@ W12 = HomogeneousPoly(12, [1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1])
 # x^4 y^4 (x^4 - y^4)^4, equal to (W8^3 - W12^2)/108
 W24_PRIME = (HomogeneousPoly(8, [0, 0, 0, 0, 1, 0, 0, 0, 0])
              * HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** 4)
-
-_GENERATORS = {"W8": W8, "W12": W12, "W24prime": W24_PRIME}
-
-
-def generator(name: str) -> HomogeneousPoly:
-    try:
-        return _GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}; expected one of "
-                         f"{sorted(_GENERATORS)}") from None
 
 
 @lru_cache(maxsize=None)
@@ -52,10 +42,6 @@ class FweBasisElement:
 
     s: int
     t: int
-
-    @property
-    def degree(self) -> int:
-        return 8 * self.s + 12 * (2 * self.t + 1)
 
     def expand(self) -> HomogeneousPoly:
         return _basis_expansion(self.s, self.t)
@@ -114,9 +100,6 @@ class FweCombination:
     terms: tuple            # ((FweBasisElement, Fraction), ...)
     expanded: HomogeneousPoly
     d: int
-
-    def coefficients(self) -> tuple:
-        return tuple(c for _, c in self.terms)
 
 
 def is_formal_weight_enumerator(W: HomogeneousPoly) -> FweCheck:
@@ -199,9 +182,12 @@ def build_extremal(n: int) -> FweCombination:
     combination coefficients = 1; coefficient of x^(n-4j) y^(4j) = 0 for
     j = 1..m} kills every index below 4m + 4.  The system is solved
     exactly and the resulting minimum index is checked against the bound.
+    Degrees above files.MAX_DEGREE, which no file could carry, are refused.
     """
     if n % 8 != 4 or n < 12:
         raise ValueError(f"no formal weight enumerators of degree {n}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the file limit {MAX_DEGREE}")
     basis = enumerate_basis(n)
     m = len(basis) - 1
     polys = [e.expand() for e in basis]

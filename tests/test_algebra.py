@@ -52,7 +52,7 @@ class TestPolyArithmetic:
 
 class TestSubstitution:
     def test_identity(self):
-        assert substitute_linear(W12, Matrix2.identity()) == W12
+        assert substitute_linear(W12, Matrix2(1, 0, 0, 1)) == W12
 
     def test_swap_fixes_w12(self):
         swap = Matrix2(F(0), F(1), F(1), F(0))

@@ -268,6 +268,33 @@ class TestSelfReciprocalReduction:
             self_reciprocal_reduction(UniPoly([1, 1, 1]), 2)
 
 
+@st.composite
+def quadratic_powers(draw):
+    """(q, a, C, P) with P = (qT^2 - 1)^a C and C a nonzero polynomial
+    that qT^2 - 1 does not divide."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    a = draw(st.integers(0, 4))
+    quadratic = UniPoly([-1, 0, q])
+    coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                      min_size=1, max_size=7)
+    C = draw(coeffs.map(UniPoly).filter(
+        lambda C: not divmod(C, quadratic)[1].is_zero()))
+    return q, a, C, quadratic ** a * C
+
+
+class TestDivideOutQuadratic:
+    @settings(max_examples=200, deadline=None)
+    @given(quadratic_powers())
+    def test_recovers_power_and_cofactor(self, case):
+        q, a, C, P = case
+        assert analysis._divide_out_quadratic(P, q) == (a, C)
+
+    def test_zero_raises(self):
+        for q in (2, 3, 4, 5):
+            with pytest.raises(ValueError):
+                analysis._divide_out_quadratic(UniPoly([]), q)
+
+
 class TestSqrt2Multiplicities:
     def test_paper_shaped_fixtures(self):
         assert exact_sqrt2_multiplicities(zeta_of(W12).P) == (1, 1)
@@ -345,7 +372,7 @@ class TestOperatorSubstitution:
 
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
-            check_operator_substitution(W12, W8, Matrix2.identity())
+            check_operator_substitution(W12, W8, Matrix2(1, 0, 0, 1))
 
 
 class TestBounds:

@@ -1,10 +1,15 @@
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fwezeta.cli import main
-from fwezeta.files import read_enumerator_file, write_enumerator_file
+from fwezeta.files import MAX_DEGREE, read_enumerator_file, write_enumerator_file
 from fwezeta.fwe import W8, W12, build_extremal
+
+DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
 
 
 @pytest.fixture
@@ -47,6 +52,14 @@ class TestZetaCommand:
     def test_missing_file(self, tmp_path):
         assert main(["zeta", "--input", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["zeta", "check"])
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "deep.json"
+        bad.write_bytes(DEEPLY_NESTED)
+        assert main([command, "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
 
 class TestTransformCommand:
     def test_w12_negates(self, w12_file, capsys):
@@ -80,7 +93,6 @@ class TestCheckCommand:
         assert "transform negates W:       FAIL" in out
 
     def test_degree_past_limit_is_input_error(self, tmp_path, capsys):
-        from fwezeta.files import MAX_DEGREE
         bad = tmp_path / "big.json"
         n = MAX_DEGREE + 1
         bad.write_text(f'{{"degree": {n}, "coefficients": {{"0": "1", "{n}": "1"}}}}')
@@ -122,6 +134,12 @@ class TestExtremalCommand:
 
     def test_bad_degree(self, capsys):
         assert main(["extremal", "--degree", "21"]) == 2
+
+    def test_degree_past_file_limit(self, capsys):
+        start = time.monotonic()
+        assert main(["extremal", "--degree", str(MAX_DEGREE + 4)]) == 2
+        assert time.monotonic() - start < 2
+        assert capsys.readouterr().out == ""
 
     def test_unwritable_output(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.json"
@@ -172,6 +190,11 @@ class TestRhCommand:
         # W12 is certified exactly, with no root finding, yet the flag is checked
         assert main(["rh", "--input", w12_file, "--precision", "16"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_q_past_float_range_is_usage_error(self, w12_file, capsys):
+        assert main(["rh", "--input", w12_file, "--q", str(10 ** 400)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, tol):
@@ -249,3 +272,47 @@ class TestVerifyAllCommand:
     def test_rejects_below_smallest_degree(self, capsys):
         assert main(["verify-all", "--max-degree", "4"]) == 2
         assert "all degrees verified" not in capsys.readouterr().out
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 64)
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def enumerator_documents(draw):
+    """Documents close to the enumerator format: in three of four the
+    indices and rational strings are well formed, and well-formed degrees
+    stay at most 64 so each command is quick."""
+    degree = draw(st.integers(1, 64) | _json_values)
+    top = degree if isinstance(degree, int) and 1 <= degree <= 64 else 64
+    rational = st.fractions(min_value=-99, max_value=99, max_denominator=50).map(str)
+    if draw(st.integers(0, 3)):
+        coeffs = draw(st.dictionaries(st.integers(1, top).map(str), rational,
+                                      max_size=8))
+    else:
+        index = st.integers(0, 64).map(str) | st.text(max_size=4)
+        coeffs = draw(st.dictionaries(index, rational | _json_values, max_size=8))
+    if draw(st.integers(0, 3)):
+        coeffs["0"] = "1"
+    return {"degree": degree, "coefficients": coeffs}
+
+
+class TestExitCodeContract:
+    """Whatever an input file holds, check and zeta exit 0, 1 or 2 and
+    never let an exception escape."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=64)
+           | st.one_of(enumerator_documents(), _json_values).map(
+               lambda doc: json.dumps(doc).encode()))
+    @example(DEEPLY_NESTED)
+    def test_any_input_file(self, tmp_path, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        for command in ("check", "zeta"):
+            assert main([command, "--input", str(path)]) in (0, 1, 2)
