@@ -21,7 +21,7 @@ from .fwe import (W8, W12, W24_PRIME, FweBasisElement, FweCheck,
                   enumerate_basis, extremal_min_index,
                   is_formal_weight_enumerator, symmetry_checks)
 from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
-                   functional_equation_sign, genus, macwilliams_transform,
-                   min_weight_index, zeta_oracle)
+                   functional_equation_sign, genus, is_zeta_polynomial,
+                   macwilliams_transform, min_weight_index, zeta_oracle)
 
 __version__ = "0.1.0"

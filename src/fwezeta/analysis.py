@@ -177,20 +177,28 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
 
 # The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
 # doubled this many times before it falls back to root finding; the grid
-# points are dyadic rationals a / 2^_GRID_BITS.
+# points are dyadic rationals a / 2^_grid_bits(q).
 CERTIFICATE_DOUBLINGS = 3
 _GRID_BITS = 40
 
 
+def _grid_bits(q: int) -> int:
+    """_GRID_BITS for q < 2^16, then one more bit per factor 4 of q, so
+    the interval (-2/sqrt(q), 2/sqrt(q)) always spans at least 2^34
+    numerators instead of rounding to 0 once q passes 2^84."""
+    return _GRID_BITS + max(0, q.bit_length() - 15) // 2
+
+
 def chebyshev_grid(q: int, points: int) -> list:
-    """Numerators a, ascending, of the dyadic roundings a / 2^40 of the
-    Chebyshev points (2/sqrt(q)) cos((2j+1) pi / (2 points)), keeping
-    those with q (a / 2^40)^2 < 4 exactly.  Only their order matters to
-    the certificate, so float rounding cannot make it unsound."""
-    scale = 2 / math.sqrt(q) * 2 ** _GRID_BITS
+    """Numerators a, ascending, of the dyadic roundings a / 2^_grid_bits(q)
+    of the Chebyshev points (2/sqrt(q)) cos((2j+1) pi / (2 points)),
+    keeping those with q (a / 2^bits)^2 < 4 exactly.  Only their order
+    matters to the certificate, so float rounding cannot make it unsound."""
+    bits = _grid_bits(q)
+    scale = 2 / math.sqrt(q) * 2 ** bits
     numerators = {round(scale * math.cos((2 * j + 1) * math.pi / (2 * points)))
                   for j in range(points)}
-    return sorted(a for a in numerators if q * a * a < 4 << (2 * _GRID_BITS))
+    return sorted(a for a in numerators if q * a * a < 4 << (2 * bits))
 
 
 def _sign_changes(R: UniPoly, q: int, points: int) -> int:
@@ -198,16 +206,17 @@ def _sign_changes(R: UniPoly, q: int, points: int) -> int:
 
     Each change brackets its own root of R inside (-2/sqrt(q), 2/sqrt(q)),
     so the count is a lower bound on the distinct roots there.  Values
-    are exact: den * 2^(40k) * R(a / 2^40) by Horner on integers.
+    are exact: den * 2^(bits k) * R(a / 2^bits) by Horner on integers,
+    with bits = _grid_bits(q).
     """
-    k = R.degree
+    k, bits = R.degree, _grid_bits(q)
     den = math.lcm(*(c.denominator for c in R.coeffs))
     r = [int(c * den) for c in R.coeffs]
     changes, last = 0, 0
     for a in chebyshev_grid(q, points):
         value = r[k]
         for i in range(k - 1, -1, -1):
-            value = value * a + (r[i] << (_GRID_BITS * (k - i)))
+            value = value * a + (r[i] << (bits * (k - i)))
         sign = (value > 0) - (value < 0)
         if sign and last and sign != last:
             changes += 1

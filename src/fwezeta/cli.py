@@ -8,8 +8,11 @@ values (roots, deviations) are labelled with the precision they carry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,18 +28,42 @@ from .files import (EnumeratorFormatError, enumerator_to_document,
 from .fwe import (build_extremal, check_invariance_g8,
                   is_formal_weight_enumerator, symmetry_checks)
 from .zeta import (EnumeratorContext, compute_zeta, functional_equation_sign,
-                   macwilliams_transform, zeta_oracle)
+                   is_zeta_polynomial, macwilliams_transform, zeta_oracle)
 
 MIN_GOLDEN_DEGREE = 12     # the smallest formal weight enumerator, W12
 MAX_GOLDEN_DEGREE = 196
 
 
+class StdoutError(Exception):
+    """stdout refused the report: a pipe closed early, a full device."""
+
+
 def _emit(args, payload: dict, lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as e:
+        raise StdoutError(e.strerror or e) from e
+
+
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at os.devnull, so that the flush at
+    interpreter exit cannot fail on it again (the Python signal module
+    documentation's advice for a closed pipe).  An in-memory stdout has
+    no descriptor and needs nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def _coeff_strings(P: UniPoly):
@@ -263,34 +290,51 @@ def cmd_table(args) -> int:
 def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
     comb = build_extremal(n)
     W = comb.expanded
-    checks = {}
-    checks["defining_conditions"] = is_formal_weight_enumerator(W).ok
-    checks["symmetry"] = symmetry_checks(W).ok
-    checks["g8_invariance"] = check_invariance_g8(W)
-    checks["golden_match"] = (entry is not None and comb.d == entry.d
-                              and entry.expand() == W)
+    checks, seconds = {}, {}
+
+    @contextlib.contextmanager
+    def timed(name):
+        start = time.perf_counter()
+        yield
+        seconds[name] = time.perf_counter() - start
+
+    with timed("defining_conditions"):
+        checks["defining_conditions"] = is_formal_weight_enumerator(W).ok
+    with timed("symmetry"):
+        checks["symmetry"] = symmetry_checks(W).ok
+    with timed("g8_invariance"):
+        checks["g8_invariance"] = check_invariance_g8(W)
+    with timed("golden_match"):
+        checks["golden_match"] = (entry is not None and comb.d == entry.d
+                                  and entry.expand() == W)
     ctx = EnumeratorContext(W, 2)
     Z = compute_zeta(ctx)
-    checks["oracle_agrees"] = zeta_oracle(ctx).P == Z.P
-    sign = functional_equation_sign(Z)
-    checks["sign_is_minus_one"] = sign == -1
-    checks["deg_P_equals_2g"] = Z.P.degree == 2 * Z.g
-    mplus, mminus = exact_sqrt2_multiplicities(Z.P)
-    checks["sqrt2_multiplicities_odd"] = mplus % 2 == 1 and mminus % 2 == 1
-    lead, const = Z.P.coefficient(Z.P.degree), Z.P.coefficient(0)
-    checks["root_product"] = const / lead == Fraction(-1, 2 ** Z.g)
-    report = check_rh(Z, tol, precision)
-    checks["root_pairing"] = verify_root_pairing(Z)
-    checks["rh"] = report.holds
-    bound = mallows_sloane_bound("fwe", n, comb.d)
-    checks["bound_tight"] = bool(bound.tight)
+    with timed("oracle_agrees"):
+        checks["oracle_agrees"] = is_zeta_polynomial(ctx, Z.P)
+    with timed("sign_is_minus_one"):
+        checks["sign_is_minus_one"] = functional_equation_sign(Z) == -1
+    with timed("deg_P_equals_2g"):
+        checks["deg_P_equals_2g"] = Z.P.degree == 2 * Z.g
+    with timed("sqrt2_multiplicities_odd"):
+        mplus, mminus = exact_sqrt2_multiplicities(Z.P)
+        checks["sqrt2_multiplicities_odd"] = mplus % 2 == 1 and mminus % 2 == 1
+    with timed("root_product"):
+        lead, const = Z.P.coefficient(Z.P.degree), Z.P.coefficient(0)
+        checks["root_product"] = const / lead == Fraction(-1, 2 ** Z.g)
+    with timed("root_pairing"):
+        checks["root_pairing"] = verify_root_pairing(Z)
+    with timed("rh"):
+        report = check_rh(Z, tol, precision)
+        checks["rh"] = report.holds
+    with timed("bound_tight"):
+        checks["bound_tight"] = bool(mallows_sloane_bound("fwe", n, comb.d).tight)
     if comb.d >= 8:
-        checks["divisibility"] = check_divisibility(W).ok
-    result = {"n": n, "d": comb.d, "max_rh_deviation": report.max_relative_deviation,
-              **{f"rh_{k}": v for k, v in _rh_evidence(report).items()},
-              "sqrt2_multiplicities": [mplus, mminus], "checks": checks,
-              "ok": all(checks.values())}
-    return result
+        with timed("divisibility"):
+            checks["divisibility"] = check_divisibility(W).ok
+    return {"n": n, "d": comb.d, "max_rh_deviation": report.max_relative_deviation,
+            **{f"rh_{k}": v for k, v in _rh_evidence(report).items()},
+            "sqrt2_multiplicities": [mplus, mminus], "checks": checks,
+            "check_seconds": seconds, "ok": all(checks.values())}
 
 
 def cmd_verify_all(args) -> int:
@@ -300,13 +344,14 @@ def cmd_verify_all(args) -> int:
     for n in range(MIN_GOLDEN_DEGREE, args.max_degree + 1, 8):
         res = _verify_degree(n, golden.get(n), args.precision, args.tol)
         results.append(res)
+        timing = f"checks {sum(res['check_seconds'].values()):.3f} s"
         if res["ok"]:
             lines.append(f"n={n} d={res['d']}: ok (RH certificate "
                          f"{res['rh_certificate']}, max RH deviation "
-                         f"{res['max_rh_deviation']:.2e})")
+                         f"{res['max_rh_deviation']:.2e}, {timing})")
         else:
             bad = [k for k, v in res["checks"].items() if not v]
-            lines.append(f"n={n} d={res['d']}: FAIL [{', '.join(bad)}]")
+            lines.append(f"n={n} d={res['d']}: FAIL [{', '.join(bad)}] ({timing})")
     all_ok = all(r["ok"] for r in results)
     lines.append("all degrees verified" if all_ok else "verification FAILED")
     _emit(args, {"results": results, "ok": all_ok}, lines)
@@ -374,6 +419,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except EnumeratorFormatError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 2
+    except StdoutError as e:
+        _discard_stdout()
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
         return 2
     # before ValueError, which SingularMatrixError subclasses
     except (SingularMatrixError, RootFindingError, ArithmeticError) as e:

@@ -7,10 +7,11 @@ degree at most n - d whose product with the generating function
     f(T) = (y(1-T) + xT)^n / ((1-T)(1-qT))
 
 has (W - x^n)/(q-1) as its T^(n-d) coefficient.  This module computes P
-two independent ways: in closed form from the binomial moments of W
-(:func:`compute_zeta`), and by a deliberately different brute-force
-solve of the dense defining system (:func:`zeta_oracle`), kept solely as
-a cross-check.
+in closed form from the binomial moments of W (:func:`compute_zeta`),
+checks a given P against that identity on integers
+(:func:`is_zeta_polynomial`), and keeps a deliberately different
+brute-force solve of the dense defining system (:func:`zeta_oracle`) as
+a cross-check of both.
 """
 from __future__ import annotations
 
@@ -132,6 +133,54 @@ def zeta_oracle(ctx: EnumeratorContext) -> ZetaPolynomial:
          for m in range(nd + 1)]
     b = [Fraction(ctx.W.coefficient(n - m), q - 1) for m in range(nd + 1)]
     return ZetaPolynomial(UniPoly(solve_linear(A, b)), ctx)
+
+
+def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
+    """Whether P is the zeta polynomial of ctx, decided exactly on integers.
+
+    P must have degree at most n - d, since the identity does not see its
+    coefficients above T^(n-d).  At y = 1, x = t the identity reads
+
+        sum_k P_k b_(n-d-k)(t) = (W(t, 1) - t^n)/(q-1),
+
+    where b_i(t) is the T^i coefficient of (1 + (t-1)T)^n/((1-T)(1-qT)):
+    with a_j = C(n, j)(t-1)^j, the prefix sums of a give the factor
+    1/(1-T), and b_i = (a_0 + ... + a_i) + q b_(i-1) the factor 1/(1-qT).
+    Both sides have degree at most n in t, so equality at t = 0..n,
+    cross-multiplied by the common denominators of P and W, is the
+    identity itself.  Nothing here comes from :func:`compute_zeta`'s
+    binomial moments, so the check stays independent of it.
+
+    Uniqueness: the defining system, as :func:`zeta_oracle` assembles it,
+    has A[m][k] = 0 for k + m > n - d and A[m][n-d-m] = C(n, m) != 0.  It
+    is anti-triangular with a nonzero anti-diagonal, hence nonsingular,
+    so exactly one P of degree at most n - d satisfies the identity, and
+    this returns True exactly when ``zeta_oracle(ctx).P == P``.
+    """
+    n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
+    if P.degree > nd:
+        return False
+    p_den = math.lcm(*(c.denominator for c in P.coeffs))
+    w_den = math.lcm(*(c.denominator for c in ctx.W.coeffs))
+    # p_rev[i] = p_den P_(n-d-i) pairs with b_i; w[i] is the x^(n-i) y^i
+    # coefficient of w_den W
+    p_rev = [c.numerator * (p_den // c.denominator)
+             for c in map(P.coefficient, range(nd, -1, -1))]
+    w = [c.numerator * (w_den // c.denominator) for c in ctx.W.coeffs]
+    binomials = [math.comb(n, j) for j in range(nd + 1)]
+    for t in range(n + 1):
+        power, prefix, b, lhs = 1, 0, 0, 0
+        for i in range(nd + 1):
+            prefix += binomials[i] * power
+            power *= t - 1
+            b = prefix + q * b
+            lhs += p_rev[i] * b
+        w_at_t = 0
+        for c in w:
+            w_at_t = w_at_t * t + c
+        if (q - 1) * w_den * lhs != p_den * (w_at_t - w_den * t ** n):
+            return False
+    return True
 
 
 def genus(n: int, d: int) -> int:

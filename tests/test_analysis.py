@@ -248,6 +248,12 @@ class TestSelfReciprocalReduction:
         report = check_rh(zeta_with(shared, 2))
         assert report.holds and report.certificate == "exact"
 
+    def test_grid_resolves_huge_q(self):
+        # with 40 bits every grid point for q = 2^90 rounded to 0
+        R = UniPoly([0, F(-1, 2 ** 45), 1])
+        assert analysis._certify_on_circle(R, 2 ** 90)
+        assert {analysis._grid_bits(q) for q in (2, 3, 4, 5, 7, 2 ** 16 - 1)} == {40}
+
     def test_boundary_root_falls_back(self):
         # q = 4, w = 1 = 2/sqrt(q): T = 1/2 is a double root of the
         # quotient, on the circle, but w is not strictly inside the interval

@@ -1,5 +1,10 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,6 +15,7 @@ from fwezeta.files import MAX_DEGREE, read_enumerator_file, write_enumerator_fil
 from fwezeta.fwe import W8, W12, build_extremal
 
 DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -254,6 +260,9 @@ class TestVerifyAllCommand:
         assert main(["verify-all", "--max-degree", "36"]) == 0
         out = capsys.readouterr().out
         assert "all degrees verified" in out
+        degree_lines = out.splitlines()[:-1]
+        assert len(degree_lines) == 4
+        assert all(line.endswith(" s)") and ", checks " in line for line in degree_lines)
 
     def test_json_payload(self, capsys):
         assert main(["verify-all", "--max-degree", "20", "--format", "json"]) == 0
@@ -264,6 +273,9 @@ class TestVerifyAllCommand:
         for r in doc["results"]:
             assert r["rh_certificate"] == "exact" and r["max_rh_deviation"] == 0.0
             assert r["rh_iterations"] is None and r["rh_max_residual_bound"] is None
+            assert list(r["check_seconds"]) == list(r["checks"])
+            assert all(isinstance(v, float) and v >= 0
+                       for v in r["check_seconds"].values())
 
     def test_low_precision_is_usage_error(self, capsys):
         assert main(["verify-all", "--max-degree", "12", "--precision", "16"]) == 2
@@ -272,6 +284,41 @@ class TestVerifyAllCommand:
     def test_rejects_below_smallest_degree(self, capsys):
         assert main(["verify-all", "--max-degree", "4"]) == 2
         assert "all degrees verified" not in capsys.readouterr().out
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails, as on a pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A stdout that refuses the report is one error line and exit 2, the
+    same as an unwritable --output, never a traceback."""
+
+    def test_write_raises_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["bound", "fwe", "84"]) == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+    # a report larger than the 8 KB stdout buffer (13 KB here) fails in
+    # print, a short one only when flushed; either way the flush at
+    # interpreter exit must not fail again
+    @pytest.mark.parametrize("argv", [
+        ["bound", "fwe", "84"],
+        ["verify-all", "--max-degree", "84", "--format", "json"]])
+    def test_pipe_closed_early(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)     # stdout block-buffered, as usual
+        proc = subprocess.Popen([sys.executable, "-m", "fwezeta.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write stdout: Broken pipe\n"
 
 
 _json_values = st.recursive(

@@ -1,12 +1,13 @@
 """Guards on what the package loads, what the exact RH certificate runs
-on, and the functions the benchmark traces."""
+on, what the headline command may call, and the functions the benchmark
+traces."""
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from fwezeta import analysis
+from fwezeta import analysis, cli, zeta
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -27,8 +28,8 @@ def test_certificate_runs_on_rationals_and_integers():
     # the exact path of check_rh must not touch mpmath: its functions
     # name only fractions, math and integer arithmetic
     for fn in (analysis._divide_out_quadratic, analysis.self_reciprocal_reduction,
-               analysis.chebyshev_grid, analysis._sign_changes,
-               analysis._certify_on_circle):
+               analysis._grid_bits, analysis.chebyshev_grid,
+               analysis._sign_changes, analysis._certify_on_circle):
         assert "mp" not in fn.__code__.co_names, fn.__name__
 
 
@@ -43,3 +44,13 @@ def test_benchmark_spans_name_existing_functions():
     for module_name, function in module.SPANS:
         package = importlib.import_module(f"fwezeta.{module_name}")
         assert callable(getattr(package, function, None)), f"{module_name}.{function}"
+
+
+def test_verify_all_runs_no_dense_solve(monkeypatch):
+    # the headline command checks P by the O(N^2) residual; the O(N^3)
+    # oracle solve serves only `zeta --oracle` and the tests
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense oracle solve in verify-all")
+    monkeypatch.setattr(cli, "zeta_oracle", refuse)
+    monkeypatch.setattr(zeta, "solve_linear", refuse)
+    assert cli.main(["verify-all", "--max-degree", "36"]) == 0

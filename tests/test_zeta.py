@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwezeta.algebra import HomogeneousPoly, UniPoly
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import (EnumeratorContext, ZetaPolynomial,
                           _series_term_polys, compute_zeta,
-                          functional_equation_sign, genus,
+                          functional_equation_sign, genus, is_zeta_polynomial,
                           macwilliams_transform, zeta_oracle)
 
 F = Fraction
@@ -102,6 +106,72 @@ class TestOracle:
         for _ in range(50):
             ctx = random_context(rng)
             assert zeta_oracle(ctx).P == compute_zeta(ctx).P
+
+
+def falling_shift(ctx):
+    """W + c y^d x (x - y) ... (x - (n-d-1) y), with c keeping A_d nonzero:
+    at y = 1 the change vanishes at x = 0..n-d-1 and nowhere else."""
+    n, d = ctx.n, ctx.d
+    c = 1 if ctx.W.coefficient(d) != -1 else 2
+    shift = HomogeneousPoly.from_sparse(d, {d: c})
+    for j in range(n - d):
+        shift = shift * HomogeneousPoly(1, [1, -j])
+    return EnumeratorContext(ctx.W + shift, ctx.q)
+
+
+class TestIsZetaPolynomial:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.fractions(min_value=-5, max_value=5, max_denominator=10**9)
+           .filter(bool))
+    def test_agrees_with_oracle(self, rng, delta):
+        ctx = random_context(rng)
+        nd = ctx.n - ctx.d
+        P = compute_zeta(ctx).P
+        oracle = zeta_oracle(ctx).P
+        k = rng.randint(0, nd)
+        moved = UniPoly([P.coefficient(i) + (delta if i == k else 0)
+                         for i in range(nd + 1)])
+        extra = UniPoly([P.coefficient(i) for i in range(nd + 1)] + [delta])
+        for candidate, expected in ((P, True), (moved, False), (extra, False),
+                                    (UniPoly([]), False)):
+            assert is_zeta_polynomial(ctx, candidate) is expected
+            assert (oracle == candidate) is expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_residual_zero_at_first_points_only(self, rng):
+        # P of W is wrong for the shifted W', yet the two sides of the
+        # identity agree at t = 0..n-d-1: every point up to t = n-d counts
+        ctx = random_context(rng)
+        P = compute_zeta(ctx).P
+        shifted = falling_shift(ctx)
+        assert is_zeta_polynomial(ctx, P)
+        assert not is_zeta_polynomial(shifted, P)
+        assert zeta_oracle(shifted).P != P
+        assert is_zeta_polynomial(shifted, compute_zeta(shifted).P)
+
+    def test_extremal_36(self):
+        ctx = EnumeratorContext(build_extremal(36).expanded, 2)
+        P = compute_zeta(ctx).P
+        assert is_zeta_polynomial(ctx, P)
+        middle = P.degree // 2
+        moved = UniPoly([c + (F(1, 10**9) if i == middle else 0)
+                         for i, c in enumerate(P.coeffs)])
+        assert not is_zeta_polynomial(ctx, moved)
+
+    @pytest.mark.parametrize("n", [12, 36])
+    def test_defining_system_is_anti_triangular(self, n):
+        # what makes "P satisfies the identity" the same as "the oracle
+        # agrees": zeros below the anti-diagonal, C(n, m) on it
+        ctx = EnumeratorContext(build_extremal(n).expanded, 2)
+        nd = ctx.n - ctx.d
+        terms = _series_term_polys(ctx)
+        A = [[terms[nd - k].coefficient(n - m) for k in range(nd + 1)]
+             for m in range(nd + 1)]
+        for m in range(nd + 1):
+            assert A[m][nd - m] == math.comb(n, m)
+            assert all(A[m][k] == 0 for k in range(nd - m + 1, nd + 1))
 
 
 class TestGenus:
