@@ -215,13 +215,6 @@ class UniPoly(_DensePoly):
                     rem[k + j] -= coef * b[j]
         return UniPoly(quot), UniPoly(rem[:top])
 
-    def evaluate(self, z):
-        """Horner evaluation; works for any scalar supporting * and +."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * z + c
-        return acc if acc is not None else Fraction(0)
-
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"
 
@@ -238,19 +231,13 @@ class Matrix2:
     def transpose(self) -> "Matrix2":
         return Matrix2(self.a, self.c, self.b, self.d)
 
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
-
 
 def substitute_linear(W: HomogeneousPoly, M: Matrix2) -> HomogeneousPoly:
     """W(a*x + b*y, c*x + d*y), exactly: the column action of M.
 
     Composes as substitute_linear(substitute_linear(W, M), N) ==
-    substitute_linear(W, M @ N).  The row action W(a*x + c*y, b*x + d*y)
-    is the column action of M.transpose().
+    substitute_linear(W, MN), MN the matrix product.  The row action
+    W(a*x + c*y, b*x + d*y) is the column action of M.transpose().
     """
     u = HomogeneousPoly(1, [M.a, M.b])
     v = HomogeneousPoly(1, [M.c, M.d])

@@ -155,24 +155,26 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
     P must have a functional equation: deg P = 2g and
     P(T) = eps q^g T^(2g) P(1/(qT)) with eps = +-1.  Under that involution
     qT^2 - 1 has sign -1, so once its highest power is divided out the
-    quotient Q, of degree 2k, has sign +1 (sign -1 would force
-    Q(+-1/sqrt(q)) = 0): b_(k+i) = q^i b_(k-i) for its coefficients b.
-    Pairing the terms of Q(T)/T^k gives b_k + sum_i b_(k+i) s_i with
-    s_i = T^i + (qT)^(-i), a polynomial in w = T + 1/(qT) through
-    s_0 = 2, s_1 = w, s_(i+1) = w s_i - s_(i-1)/q.  Raises ValueError
-    when P has no functional equation.
+    quotient Q has sign +1: a sign -1 quotient would vanish at
+    +-1/sqrt(q), so qT^2 - 1 would divide it.  The sign +1 polynomials of
+    degree 2k are exactly the Q = sum_j r_j T^(k-j) (T^2 + 1/q)^j, as
+    T^k w^j = T^(k-j) (T^2 + 1/q)^j with w = T + 1/(qT).  Term j has
+    leading coefficient 1 at T^(k+j), so one pass for j = k down to 0
+    reads r_j off the top remaining coefficient of Q and subtracts its
+    term; a nonzero residual means P has no functional equation, and
+    raises ValueError.
     """
     m, Q = _divide_out_quadratic(P, q)
-    k, b = Q.degree // 2, Q.coeffs
-    if Q.degree % 2 or any(b[k + i] != q ** i * b[k - i] for i in range(1, k + 1)):
+    k, b = Q.degree // 2, list(Q.coeffs)
+    r = [Fraction(0)] * (k + 1)
+    for j in range(k, -1, -1):
+        r[j] = rj = b[k + j]
+        # r_j T^(k-j) (T^2 + 1/q)^j puts r_j C(j, i) q^(i-j) at T^(k-j+2i)
+        for i in range(j + 1):
+            b[k - j + 2 * i] -= rj * Fraction(math.comb(j, i), q ** (j - i))
+    if any(b):
         raise ValueError("P has no functional equation under T -> 1/(qT)")
-    w = UniPoly([0, 1])
-    R = UniPoly([b[k]])
-    s_prev, s = UniPoly([2]), w
-    for i in range(1, k + 1):
-        R = R + s * b[k + i]
-        s_prev, s = s, w * s - s_prev * Fraction(1, q)
-    return m, R
+    return m, UniPoly(r)
 
 
 # The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
@@ -294,7 +296,7 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
         raise ValueError("q is too large for a floating-point modulus") from None
     if Z.P.degree < 1:
         return RhReport(True, target, 0.0, (), None)
-    if Z.context.n % 2 == 0 and functional_equation_sign(Z) is not None:
+    if functional_equation_sign(Z) is not None:
         m, R = self_reciprocal_reduction(Z.P, q)
         if _certify_on_circle(R, q):
             return RhReport(True, target, 0.0, (), None)
@@ -367,9 +369,6 @@ class DivisibilityReport:
     @property
     def ok(self) -> bool:
         return self.quotient is not None and all(f.divides for f in self.factors)
-
-    def __bool__(self):
-        return self.ok
 
 
 _XY = HomogeneousPoly(2, [0, 1, 0])

@@ -101,7 +101,7 @@ def cmd_zeta(args) -> int:
     W = _read_input(args)
     ctx = EnumeratorContext(W, args.q)
     Z = compute_zeta(ctx)
-    sign = functional_equation_sign(Z) if ctx.n % 2 == 0 else None
+    sign = functional_equation_sign(Z)
     payload = {
         "n": ctx.n, "d": ctx.d, "q": ctx.q,
         "deg_P": Z.P.degree, "genus": Z.g, "sign": sign,
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_, func, *, inp=False, out=False, q=False, degree=False,
-            maxdeg=False, numeric=False, fmt=True, oracle=False):
+            maxdeg=False, numeric=False, oracle=False):
         p = sub.add_parser(name, help=help_)
         if inp:
             p.add_argument("--input", required=True, help="enumerator JSON file")
@@ -383,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="working precision in bits (default 256)")
             p.add_argument("--tol", type=float, default=DEFAULT_RH_TOLERANCE,
                            help="modulus tolerance (default 1e-9)")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         if oracle:
             p.add_argument("--oracle", action="store_true",
                            help="cross-check with the brute-force solver")

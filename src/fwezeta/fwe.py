@@ -27,13 +27,8 @@ W24_PRIME = (HomogeneousPoly(8, [0, 0, 0, 0, 1, 0, 0, 0, 0])
 
 
 @lru_cache(maxsize=None)
-def _w8_power(s: int) -> HomogeneousPoly:
-    return _w8_power(s - 1) * W8 if s else HomogeneousPoly(0, [1])
-
-
-@lru_cache(maxsize=None)
-def _w12_power(k: int) -> HomogeneousPoly:
-    return _w12_power(k - 1) * W12 if k else HomogeneousPoly(0, [1])
+def _power(W: HomogeneousPoly, k: int) -> HomogeneousPoly:
+    return _power(W, k - 1) * W if k else HomogeneousPoly(0, [1])
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,7 @@ class FweBasisElement:
 
 @lru_cache(maxsize=None)
 def _basis_expansion(s: int, t: int) -> HomogeneousPoly:
-    return _w8_power(s) * _w12_power(2 * t + 1)
+    return _power(W8, s) * _power(W12, 2 * t + 1)
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,6 @@ class FweCheck:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -87,9 +79,6 @@ class SymmetryReport:
     def ok(self) -> bool:
         return (self.degree_mod_8_is_4 and self.term_count_even
                 and self.swap_symmetric)
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,6 @@ def enumerate_basis(n: int) -> list:
         if rem % 8 == 0:
             out.append(FweBasisElement(rem // 8, t))
         t += 1
-    out.sort(key=lambda e: -e.s)
     return out
 
 

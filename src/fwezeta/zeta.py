@@ -209,14 +209,12 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
 
 def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:
     """+1 or -1 when P satisfies a_i <-> eps * q^(g-i) * a_(2g-i) with
-    deg P = 2g; None when no such symmetry holds."""
-    ctx = Z.context
-    if ctx.n % 2:
-        raise ValueError("functional equation sign needs an even degree")
-    g = genus(ctx.n, ctx.d)
-    if g < 0 or Z.P.degree != 2 * g:
+    deg P = 2g; None when no such symmetry holds, and for odd n, which
+    has no genus."""
+    g = Z.g
+    if g is None or g < 0 or Z.P.degree != 2 * g:
         return None
-    qf = Fraction(ctx.q)
+    qf = Fraction(Z.context.q)
     for eps in (1, -1):
         if all(Z.P.coefficient(2 * g - i) == eps * qf ** (g - i) * Z.P.coefficient(i)
                for i in range(2 * g + 1)):

@@ -203,7 +203,75 @@ def paired_polynomials(draw):
     return q, m, ws, from_pairs(c, q, m, ws)
 
 
+def two_pass_reduction(P, q):
+    """The reference for self_reciprocal_reduction: a symmetry predicate
+    b_(k+i) = q^i b_(k-i) on the quotient Q, then R = b_k + sum_i
+    b_(k+i) s_i(w) with s_0 = 2, s_1 = w, s_(i+1) = w s_i - s_(i-1)/q."""
+    m, Q = analysis._divide_out_quadratic(P, q)
+    k, b = Q.degree // 2, Q.coeffs
+    if Q.degree % 2 or any(b[k + i] != q ** i * b[k - i] for i in range(1, k + 1)):
+        raise ValueError("P has no functional equation under T -> 1/(qT)")
+    w = UniPoly([0, 1])
+    R = UniPoly([b[k]])
+    s_prev, s = UniPoly([2]), w
+    for i in range(1, k + 1):
+        R = R + s * b[k + i]
+        s_prev, s = s, w * s - s_prev * F(1, q)
+    return m, R
+
+
+def reduction_outcome(reduce, P, q):
+    """reduce(P, q), or ValueError when it raises one."""
+    try:
+        return reduce(P, q)
+    except ValueError:
+        return ValueError
+
+
+_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def reduction_inputs(draw):
+    """(q, P): P = (qT^2 - 1)^m T^k R(T + 1/(qT)) for m <= 3, deg R <= 8,
+    expanded through T^k w^i = T^(k-i) (T^2 + 1/q)^i; sometimes with one
+    coefficient moved, sometimes a plain random P instead."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    kind = draw(st.sampled_from(("exact", "exact", "perturbed", "random")))
+    if kind == "random":
+        return q, UniPoly(draw(st.lists(_coefficients, min_size=1, max_size=20)))
+    m = draw(st.integers(0, 3))
+    r = draw(st.lists(_coefficients, min_size=1, max_size=9))
+    r[-1] = r[-1] or F(1)
+    k = len(r) - 1
+    lift = UniPoly([F(1, q), 0, 1])
+    Q = UniPoly([])
+    for i, ri in enumerate(r):
+        Q = Q + UniPoly([0] * (k - i) + [ri]) * lift ** i
+    P = UniPoly([-1, 0, q]) ** m * Q
+    if kind == "perturbed":
+        i = draw(st.integers(0, P.degree))
+        delta = draw(_coefficients.filter(bool))
+        P = P + UniPoly([0] * i + [delta])
+    return q, P
+
+
 class TestSelfReciprocalReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(reduction_inputs())
+    def test_matches_two_pass_reference(self, case):
+        q, P = case
+        assert (reduction_outcome(self_reciprocal_reduction, P, q)
+                == reduction_outcome(two_pass_reduction, P, q))
+
+    def test_matches_two_pass_reference_on_enumerators(self, all_zetas):
+        Ps = [Z.P for Z in all_zetas.values()]
+        Ps += [zeta_of(W8 ** s * W12 ** t).P
+               for s in range(4) for t in range(4) if s or t]
+        for P in Ps:
+            assert (reduction_outcome(self_reciprocal_reduction, P, 2)
+                    == reduction_outcome(two_pass_reduction, P, 2))
+
     @settings(max_examples=25, deadline=None)
     @given(paired_polynomials())
     def test_constructed_products(self, case):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -276,6 +277,16 @@ class TestVerifyAllCommand:
             assert list(r["check_seconds"]) == list(r["checks"])
             assert all(isinstance(v, float) and v >= 0
                        for v in r["check_seconds"].values())
+
+    def test_full_run_digest(self, capsys):
+        # every verdict, multiplicity, deviation and certificate of the
+        # headline run, pinned byte for byte; only the timings may move
+        assert main(["verify-all", "--max-degree", "196", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for r in doc["results"]:
+            del r["check_seconds"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "a09090eb40525095252a52698e4cf0bbb51631de8bec51eb0c5fea5e8f86cb57"
 
     def test_low_precision_is_usage_error(self, capsys):
         assert main(["verify-all", "--max-degree", "12", "--precision", "16"]) == 2

@@ -234,6 +234,13 @@ class TestFunctionalEquationSign:
         assert functional_equation_sign(ZetaPolynomial(UniPoly([1, 1]), ctx)) is None
         assert functional_equation_sign(ZetaPolynomial(UniPoly([1, 1, 1]), ctx)) is None
 
+    def test_odd_degree_is_none(self):
+        # odd n has no genus, so no functional equation to have a sign
+        W = HomogeneousPoly.from_sparse(7, {0: 1, 3: 5, 7: 1})
+        Z = compute_zeta(EnumeratorContext(W, 2))
+        assert Z.g is None
+        assert functional_equation_sign(Z) is None
+
     def test_fwe_dichotomy(self):
         for s, expected in ((1, 1), (2, 1), (3, 1)):
             Z = compute_zeta(EnumeratorContext(W8 ** s, 2))
