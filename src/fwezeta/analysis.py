@@ -34,7 +34,7 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootSet:
-    """Numeric roots with the precision they were computed at.
+    """Numeric roots and the Aberth iteration count that found them.
 
     residual_bounds[k] is the relative backward error
     |P(z_k)| / sum_i |a_i| |z_k|^i, a certificate that z_k is an exact
@@ -43,7 +43,6 @@ class RootSet:
     """
 
     roots: tuple
-    precision_bits: int
     residual_bounds: tuple
     iterations: int
 
@@ -102,7 +101,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
                     f"(last update {mp.nstr(biggest, 5)})")
             roots += z
             residuals += [_residual_bound(c, zk) for zk in z]
-        return RootSet(tuple(roots), precision_bits, tuple(residuals), iterations)
+        return RootSet(tuple(roots), tuple(residuals), iterations)
 
 
 def _aberth_initial(c, deg):
@@ -203,35 +202,32 @@ def chebyshev_grid(q: int, points: int) -> list:
     return sorted(a for a in numerators if q * a * a < 4 << (2 * bits))
 
 
-def _sign_changes(R: UniPoly, q: int, points: int) -> int:
-    """Sign changes of R along chebyshev_grid(q, points), skipping zeros.
+def _certify_on_circle(R: UniPoly, q: int) -> bool:
+    """True when deg R sign changes prove that R has deg R distinct real
+    roots in (-2/sqrt(q), 2/sqrt(q)); False only means "not proved".
 
-    Each change brackets its own root of R inside (-2/sqrt(q), 2/sqrt(q)),
-    so the count is a lower bound on the distinct roots there.  Values
-    are exact: den * 2^(bits k) * R(a / 2^bits) by Horner on integers,
-    with bits = _grid_bits(q).
+    Changes are counted along chebyshev_grid(q, points), skipping zeros,
+    for points = 2k+2 doubled up to CERTIFICATE_DOUBLINGS times.  Each
+    change brackets its own root of R in the interval, so the count is a
+    lower bound on the distinct roots there.  Values are exact:
+    den * 2^(bits k) * R(a / 2^bits) by Horner on integers, with
+    bits = _grid_bits(q) and the shifts 2^(bits (k-i)) folded into r_i.
     """
     k, bits = R.degree, _grid_bits(q)
     den = math.lcm(*(c.denominator for c in R.coeffs))
-    r = [int(c * den) for c in R.coeffs]
-    changes, last = 0, 0
-    for a in chebyshev_grid(q, points):
-        value = r[k]
-        for i in range(k - 1, -1, -1):
-            value = value * a + (r[i] << (bits * (k - i)))
-        sign = (value > 0) - (value < 0)
-        if sign and last and sign != last:
-            changes += 1
-        last = sign or last
-    return changes
-
-
-def _certify_on_circle(R: UniPoly, q: int) -> bool:
-    """True when deg R sign changes prove that R has deg R distinct real
-    roots in (-2/sqrt(q), 2/sqrt(q)); False only means "not proved"."""
-    points = 2 * R.degree + 2
+    r = [int(c * den) << (bits * (k - i)) for i, c in enumerate(R.coeffs)]
+    points = 2 * k + 2
     for _ in range(CERTIFICATE_DOUBLINGS + 1):
-        if _sign_changes(R, q, points) >= R.degree:
+        changes, last = 0, 0
+        for a in chebyshev_grid(q, points):
+            value = r[k]
+            for i in range(k - 1, -1, -1):
+                value = value * a + r[i]
+            sign = (value > 0) - (value < 0)
+            if sign and last and sign != last:
+                changes += 1
+            last = sign or last
+        if changes >= k:
             return True
         points *= 2
     return False
@@ -264,7 +260,7 @@ def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
             roots += [alpha, 1 / (q * alpha)]
         c = [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs]
         residuals = [_residual_bound(c, z) for z in roots]
-    return RootSet(tuple(roots), precision_bits, tuple(residuals), rs.iterations)
+    return RootSet(tuple(roots), tuple(residuals), rs.iterations)
 
 
 def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,

@@ -4,6 +4,8 @@ Exit codes: 0 success or property verified, 1 verification failure,
 2 usage or input error.  All configuration comes from flags; no
 environment variables.  Exact values print as rational strings, numeric
 values (roots, deviations) are labelled with the precision they carry.
+Each cmd_* returns its report as (JSON payload, text lines, exit code);
+main alone prints it, and maps exceptions to exit codes.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .algebra import SingularMatrixError, UniPoly
+from .algebra import SingularMatrixError
 from .analysis import (DEFAULT_PRECISION_BITS, DEFAULT_RH_TOLERANCE,
                        RootFindingError, check_divisibility, check_rh,
                        exact_sqrt2_multiplicities, mallows_sloane_bound,
@@ -32,22 +34,6 @@ from .zeta import (EnumeratorContext, compute_zeta, functional_equation_sign,
 
 MIN_GOLDEN_DEGREE = 12     # the smallest formal weight enumerator, W12
 MAX_GOLDEN_DEGREE = 196
-
-
-class StdoutError(Exception):
-    """stdout refused the report: a pipe closed early, a full device."""
-
-
-def _emit(args, payload: dict, lines) -> None:
-    try:
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            for line in lines:
-                print(line)
-        sys.stdout.flush()
-    except OSError as e:
-        raise StdoutError(e.strerror or e) from e
 
 
 def _discard_stdout() -> None:
@@ -66,20 +52,12 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def _coeff_strings(P: UniPoly):
-    return [str(c) for c in P.coeffs]
-
-
 def _half_notation(W) -> str:
     """Interior coefficients of the symmetric half form, A_d .. A_((n-4)/2)."""
     n = W.degree
     parts = [f"A_{i}={W.coefficient(i)}" for i in sorted(W.support())
              if 0 < i <= (n - 4) // 2]
     return " ".join(parts)
-
-
-def _mpc_str(z) -> str:
-    return mp.nstr(z, 17)
 
 
 def _read_input(args):
@@ -97,44 +75,39 @@ def _write_output(write, value, path) -> None:
         raise ValueError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args) -> tuple:
     W = _read_input(args)
     ctx = EnumeratorContext(W, args.q)
     Z = compute_zeta(ctx)
     sign = functional_equation_sign(Z)
+    coeffs = [str(c) for c in Z.P.coeffs]
     payload = {
         "n": ctx.n, "d": ctx.d, "q": ctx.q,
         "deg_P": Z.P.degree, "genus": Z.g, "sign": sign,
-        "coefficients": _coeff_strings(Z.P),
+        "coefficients": coeffs,
     }
     lines = [
         f"n = {ctx.n}, d = {ctx.d}, q = {ctx.q}",
         f"deg P = {Z.P.degree}, g = {Z.g}",
-        "P coefficients (ascending): " + ", ".join(_coeff_strings(Z.P)),
+        "P coefficients (ascending): " + ", ".join(coeffs),
         f"functional equation sign: {sign}",
     ]
-    code = 0
     if args.oracle:
-        agrees = zeta_oracle(ctx).P == Z.P
-        payload["oracle_agrees"] = agrees
+        payload["oracle_agrees"] = agrees = zeta_oracle(ctx).P == Z.P
         lines.append(f"oracle agrees: {'yes' if agrees else 'NO'}")
-        if not agrees:
-            code = 1
-    _emit(args, payload, lines)
-    return code
+    return payload, lines, 0 if payload.get("oracle_agrees", True) else 1
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple:
     W = _read_input(args)
     T = macwilliams_transform(W, args.q)
     doc = enumerator_to_document(T)
     if args.output:
         _write_output(write_document, doc, args.output)
-    _emit(args, doc, [f"degree = {T.degree}", str(T)])
-    return 0
+    return doc, [f"degree = {T.degree}", str(T)], 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     W = _read_input(args)
     fc = is_formal_weight_enumerator(W)
     sym = symmetry_checks(W)
@@ -159,11 +132,10 @@ def cmd_check(args) -> int:
     ]
     for reason in fc.failures:
         lines.append(f"  reason: {reason}")
-    _emit(args, payload, lines)
-    return 0 if fc.ok else 1
+    return payload, lines, 0 if fc.ok else 1
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> tuple:
     comb = build_extremal(args.degree)
     payload = {
         "degree": comb.degree, "d": comb.d,
@@ -178,8 +150,7 @@ def cmd_extremal(args) -> int:
     if args.output:
         _write_output(write_enumerator_file, comb.expanded, args.output)
         lines.append(f"wrote {args.output}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _rh_evidence(report) -> dict:
@@ -193,7 +164,7 @@ def _rh_evidence(report) -> dict:
     }
 
 
-def cmd_rh(args) -> int:
+def cmd_rh(args) -> tuple:
     W = _read_input(args)
     ctx = EnumeratorContext(W, args.q)
     Z = compute_zeta(ctx)
@@ -204,7 +175,7 @@ def cmd_rh(args) -> int:
         "target_modulus": report.target_modulus,
         "max_relative_deviation": report.max_relative_deviation,
         "precision_bits": args.precision,
-        "offending_roots": [_mpc_str(z) for z in report.offending_roots],
+        "offending_roots": [mp.nstr(z, 17) for z in report.offending_roots],
         **evidence,
     }
     if report.certificate == "exact":
@@ -221,12 +192,11 @@ def cmd_rh(args) -> int:
         f"(tolerance {args.tol:.1e})",
     ]
     for z in report.offending_roots:
-        lines.append(f"  offending root: {_mpc_str(z)}  |.| = {mp.nstr(abs(z), 17)}")
-    _emit(args, payload, lines)
-    return 0 if report.holds else 1
+        lines.append(f"  offending root: {mp.nstr(z, 17)}  |.| = {mp.nstr(abs(z), 17)}")
+    return payload, lines, 0 if report.holds else 1
 
 
-def cmd_divisibility(args) -> int:
+def cmd_divisibility(args) -> tuple:
     W = _read_input(args)
     report = check_divisibility(W)
     payload = {
@@ -244,15 +214,13 @@ def cmd_divisibility(args) -> int:
         lines.append(f"full product divides; quotient degree {report.quotient.degree}")
     else:
         lines.append("full product DOES NOT divide")
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return payload, lines, 0 if report.ok else 1
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple:
     report = mallows_sloane_bound(args.kind, args.degree)
-    _emit(args, {"kind": report.kind, "n": report.n, "bound": report.bound},
-          [f"{report.bound}"])
-    return 0
+    return ({"kind": report.kind, "n": report.n, "bound": report.bound},
+            [f"{report.bound}"], 0)
 
 
 def _golden_map(max_degree: int):
@@ -263,7 +231,7 @@ def _golden_map(max_degree: int):
     return {e.n: e for e in load_golden_table() if e.n <= max_degree}
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     golden = _golden_map(args.max_degree)
     entries = []
     lines = []
@@ -283,8 +251,7 @@ def cmd_table(args) -> int:
         status = "match" if not diffs else "MISMATCH " + "; ".join(diffs)
         lines.append(f"n={n} d={comb.d} {_half_notation(comb.expanded)} [{status}]")
         failed = failed or bool(diffs)
-    _emit(args, {"entries": entries, "all_match": not failed}, lines)
-    return 1 if failed else 0
+    return {"entries": entries, "all_match": not failed}, lines, 1 if failed else 0
 
 
 def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
@@ -337,7 +304,7 @@ def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
             "check_seconds": seconds, "ok": all(checks.values())}
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> tuple:
     golden = _golden_map(args.max_degree)
     results = []
     lines = []
@@ -354,8 +321,7 @@ def cmd_verify_all(args) -> int:
             lines.append(f"n={n} d={res['d']}: FAIL [{', '.join(bad)}] ({timing})")
     all_ok = all(r["ok"] for r in results)
     lines.append("all degrees verified" if all_ok else "verification FAILED")
-    _emit(args, {"results": results, "ok": all_ok}, lines)
-    return 0 if all_ok else 1
+    return {"results": results, "ok": all_ok}, lines, 0 if all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,13 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except EnumeratorFormatError as e:
         print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except StdoutError as e:
-        _discard_stdout()
-        print(f"error: cannot write stdout: {e}", file=sys.stderr)
         return 2
     # before ValueError, which SingularMatrixError subclasses
     except (SingularMatrixError, RootFindingError, ArithmeticError) as e:
@@ -430,6 +392,18 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except OSError as e:     # a pipe closed early, a full device
+        _discard_stdout()
+        print(f"error: cannot write stdout: {e.strerror or e}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -70,10 +70,19 @@ def enumerator_from_document(doc) -> HomogeneousPoly:
     return HomogeneousPoly.from_sparse(degree, entries)
 
 
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:      # json alone would keep the last value silently
+            raise EnumeratorFormatError(f"repeated key: {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_enumerator_file(path) -> HomogeneousPoly:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as e:
             raise EnumeratorFormatError(f"invalid JSON: {e}") from e
     return enumerator_from_document(doc)

@@ -212,7 +212,7 @@ def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:
     deg P = 2g; None when no such symmetry holds, and for odd n, which
     has no genus."""
     g = Z.g
-    if g is None or g < 0 or Z.P.degree != 2 * g:
+    if g is None or Z.P.degree != 2 * g:
         return None
     qf = Fraction(Z.context.q)
     for eps in (1, -1):

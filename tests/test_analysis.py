@@ -301,10 +301,11 @@ class TestSelfReciprocalReduction:
         report = check_rh(zeta_with(P, 2))
         assert report.holds and report.certificate == "exact"
 
-    def test_grid_point_is_exact_root(self):
+    def test_grid_point_is_exact_root(self, monkeypatch):
         # roots of R on the first grid itself are skipped as zeros; in the
         # second case a root shares a grid interval with a grid root, so
-        # only a refined grid separates them
+        # the first grid alone does not certify and only a refined grid
+        # separates them
         k = 3
         grid = [F(a, 2 ** 40) for a in chebyshev_grid(2, 2 * k + 2)]
         on_grid = from_pairs(F(1), 2, 1, [grid[1], grid[4], grid[6]])
@@ -312,7 +313,9 @@ class TestSelfReciprocalReduction:
         assert report.holds and report.certificate == "exact"
         shared = from_pairs(F(1), 2, 1, [grid[1], (grid[1] + grid[2]) / 2, grid[6]])
         _, R = self_reciprocal_reduction(shared, 2)
-        assert analysis._sign_changes(R, 2, 2 * k + 2) < k
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "CERTIFICATE_DOUBLINGS", 0)
+            assert not analysis._certify_on_circle(R, 2)
         report = check_rh(zeta_with(shared, 2))
         assert report.holds and report.certificate == "exact"
 

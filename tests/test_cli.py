@@ -114,6 +114,19 @@ class TestCheckCommand:
         assert main(["check", "--input", str(bad)]) == 2
         assert "bad coefficient index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"degree": 12, "coefficients": '
+         '{"0": "1", "4": "-33", "8": "-33", "12": "1", "4": "7"}}', "'4'"),
+        ('{"degree": 8, "degree": 12, "coefficients": '
+         '{"0": "1", "4": "-33", "8": "-33", "12": "1"}}', "'degree'")])
+    def test_repeated_key_is_input_error(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: repeated key: {key}\n"
+
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"degree": 4, "coefficients": {"0": "1", "4": "1/0"}}')
@@ -295,6 +308,65 @@ class TestVerifyAllCommand:
     def test_rejects_below_smallest_degree(self, capsys):
         assert main(["verify-all", "--max-degree", "4"]) == 2
         assert "all degrees verified" not in capsys.readouterr().out
+
+
+def _transcript_battery(tmp_path):
+    """argv lists covering every command in text and JSON: exit 0, exit 1,
+    usage and input errors, an unwritable --output and the oracle."""
+    inputs = {f"e{n}": build_extremal(n).expanded for n in (12, 36, 60, 108, 196)}
+    inputs["w8"] = W8
+    for s, k in [(0, 1), (1, 1), (2, 1), (3, 1), (0, 3), (4, 1),
+                 (1, 3), (5, 1), (2, 3), (6, 1), (3, 3), (0, 5)]:
+        inputs[f"w8^{s}w12^{k}"] = W8 ** s * W12 ** k
+    paths = {}
+    for name, W in inputs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        write_enumerator_file(W, paths[name])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"degree": 4, "coefficients": {"0": "1", "9": "2"}}')
+    battery = []
+    for fmt in ("text", "json"):
+        for name in ("e12", "e36", "e60", "e108", "e196", "w8"):
+            for command in ("zeta", "check", "divisibility", "rh", "transform"):
+                battery.append([command, "--input", paths[name], "--format", fmt])
+        for name in paths:
+            if name.startswith("w8^"):
+                battery.append(["rh", "--input", paths[name], "--format", fmt])
+    battery += [
+        ["zeta", "--input", paths["e12"], "--oracle"],
+        ["zeta", "--input", paths["e36"], "--oracle"],
+        ["extremal", "--degree", "36"],
+        ["extremal", "--degree", "21"],
+        ["extremal", "--degree", "12", "--output", str(tmp_path / "missing" / "x.json")],
+        ["bound", "fwe", "84"],
+        ["bound", "type2", "7"],
+        ["table", "--max-degree", "196"],
+        ["verify-all", "--max-degree", "60", "--format", "json"],
+        ["check", "--input", str(bad)],
+        ["zeta", "--input", str(tmp_path / "nope.json")],
+        ["rh", "--input", paths["e12"], "--tol", "nan"],
+    ]
+    return battery
+
+
+class TestTranscriptDigest:
+    def test_battery_digest(self, tmp_path, capsys):
+        # stdout, stderr and exit code of every command in the battery,
+        # pinned byte for byte; only the verify-all timings are dropped
+        tmp = str(tmp_path)
+        digest = hashlib.sha256()
+        for argv in _transcript_battery(tmp_path):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if argv[0] == "verify-all":
+                doc = json.loads(out)
+                for r in doc["results"]:
+                    del r["check_seconds"]
+                out = json.dumps(doc, indent=2) + "\n"
+            record = [[a.replace(tmp, "<tmp>") for a in argv], code,
+                      out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
+            digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == "90773501c76fc9f3829531874a438f856ccd753249d220e05830dcda67ee8b4a"
 
 
 class _ClosedStdout(io.TextIOBase):

@@ -86,6 +86,18 @@ class TestEnumeratorFiles:
             enumerator_from_document(
                 {"degree": 13, "coefficients": {"0": "1", "13": "1", key: "5"}})
 
+    @pytest.mark.parametrize("text", [
+        '{"degree": 12, "coefficients": '
+        '{"0": "1", "4": "-33", "8": "-33", "12": "1", "4": "7"}}',
+        '{"degree": 8, "degree": 12, "coefficients": '
+        '{"0": "1", "4": "-33", "8": "-33", "12": "1"}}'])
+    def test_rejects_repeated_keys(self, tmp_path, text):
+        # json alone keeps the last value: A_4 = 7, or degree 12
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        with pytest.raises(EnumeratorFormatError, match="repeated key"):
+            read_enumerator_file(path)
+
     def test_writer_refuses_non_monic(self, tmp_path):
         with pytest.raises(EnumeratorFormatError):
             write_enumerator_file(HomogeneousPoly(2, [2, 0, 1]), tmp_path / "x.json")

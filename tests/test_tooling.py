@@ -1,6 +1,7 @@
 """Guards on what the package loads, what the exact RH certificate runs
-on, what the headline command may call, and the functions the benchmark
-traces."""
+on, what the headline command may call, the functions the benchmark
+traces, and where the command line front end may print to stdout."""
+import ast
 import importlib.util
 import os
 import subprocess
@@ -29,7 +30,7 @@ def test_certificate_runs_on_rationals_and_integers():
     # name only fractions, math and integer arithmetic
     for fn in (analysis._divide_out_quadratic, analysis.self_reciprocal_reduction,
                analysis._grid_bits, analysis.chebyshev_grid,
-               analysis._sign_changes, analysis._certify_on_circle):
+               analysis._certify_on_circle):
         assert "mp" not in fn.__code__.co_names, fn.__name__
 
 
@@ -54,3 +55,20 @@ def test_verify_all_runs_no_dense_solve(monkeypatch):
     monkeypatch.setattr(cli, "zeta_oracle", refuse)
     monkeypatch.setattr(zeta, "solve_linear", refuse)
     assert cli.main(["verify-all", "--max-degree", "36"]) == 0
+
+
+def test_only_main_prints_to_stdout():
+    # commands return their report and main alone prints it, so that a
+    # failed stdout is handled in one place; a print without file= outside
+    # main would write part of a report before the exit code is known
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    stdout_prints = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "print"
+                     and not any(kw.arg == "file" for kw in node.keywords)]
+    assert stdout_prints
+    for node in stdout_prints:
+        assert id(node) in in_main, f"print to stdout at cli.py line {node.lineno}"
