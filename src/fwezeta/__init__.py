@@ -7,8 +7,8 @@ sharpened minimum-index bound."""
 from .algebra import (HomogeneousPoly, Matrix2, SingularMatrixError, UniPoly,
                       apply_diff_operator, exact_divide, solve_linear,
                       substitute_linear)
-from .analysis import (BoundReport, DivisibilityReport, RhReport,
-                       RootFindingError, RootSet, check_divisibility,
+from .analysis import (DivisibilityReport, RhReport, RootFindingError,
+                       RootSet, check_divisibility,
                        check_operator_substitution, check_rh,
                        derivative_closed_form, exact_sqrt2_multiplicities,
                        find_roots, mallows_sloane_bound,

@@ -279,42 +279,21 @@ def apply_diff_operator(p: HomogeneousPoly, W: HomogeneousPoly) -> HomogeneousPo
     return HomogeneousPoly(m, out)
 
 
-def _strip_y(W: HomogeneousPoly):
-    """Split W = y^v * rest and dehomogenize rest at y = 1.
-
-    Returns (v, rest as a UniPoly in x).  Its degree pins the x-degree
-    of rest exactly; any power of x dividing W shows up as low-order
-    zeros.
-    """
-    v = next(i for i, c in enumerate(W.coeffs) if c)
-    return v, UniPoly(reversed(W.coeffs[v:]))
-
-
 def exact_divide(A: HomogeneousPoly, B: HomogeneousPoly) -> Optional[HomogeneousPoly]:
     """Exact quotient Q with A = B*Q, or None when B does not divide A.
 
-    Works by factoring the pure power of y out of each operand,
-    dehomogenizing at y = 1 and dividing the univariate parts with a
-    zero-remainder check.
+    ``coeffs[i]`` multiplies x^(n-i) y^i, so the vector is W(1, t) in
+    ascending powers of t = y/x.  With k = deg A - deg B, B divides A
+    exactly when k >= 0, B(1, t) divides A(1, t), and that quotient has
+    t-degree at most k, the room left for the power of x.
     """
     if B.is_zero():
         raise ValueError("division by the zero polynomial")
-    if A.is_zero():
-        if A.degree >= B.degree:
-            return HomogeneousPoly.zero(A.degree - B.degree)
+    k = A.degree - B.degree
+    quot, rem = divmod(UniPoly(A.coeffs), UniPoly(B.coeffs))
+    if k < 0 or not rem.is_zero() or quot.degree > k:
         return None
-    va, a = _strip_y(A)
-    vb, b = _strip_y(B)
-    if va < vb:
-        return None
-    quot, rem = divmod(a, b)
-    if not rem.is_zero():
-        return None
-    # a and b end in nonzero coefficients, so quot has exactly
-    # deg A - deg B - (va - vb) + 1 of them, ascending in x; reversed and
-    # shifted by y^(va - vb) they fill the homogeneous quotient
-    return HomogeneousPoly(A.degree - B.degree,
-                           [0] * (va - vb) + list(reversed(quot.coeffs)))
+    return HomogeneousPoly(k, quot.coeffs + (0,) * (k - quot.degree))
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:

@@ -425,17 +425,7 @@ def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    kind: str
-    n: int
-    bound: int
-    observed_d: Optional[int]
-    tight: Optional[bool]
-
-
-def mallows_sloane_bound(kind: str, n: int,
-                         observed_d: Optional[int] = None) -> BoundReport:
+def mallows_sloane_bound(kind: str, n: int) -> int:
     """Best-possible minimum-index bound per family.
 
     kind="type2" (degree divisible by 8): d <= 4*floor(n/24) + 4.
@@ -445,15 +435,12 @@ def mallows_sloane_bound(kind: str, n: int,
     if kind == "type2":
         if n % 8 or n < 8:
             raise ValueError(f"type2 bound needs a positive degree divisible by 8, got {n}")
-        bound = 4 * (n // 24) + 4
-    elif kind == "fwe":
+        return 4 * (n // 24) + 4
+    if kind == "fwe":
         if n % 8 != 4 or n < 12:
             raise ValueError(f"fwe bound needs degree 4 mod 8 and >= 12, got {n}")
-        bound = extremal_min_index(n)
-    else:
-        raise ValueError(f"kind must be 'type2' or 'fwe', got {kind!r}")
-    tight = None if observed_d is None else observed_d == bound
-    return BoundReport(kind, n, bound, observed_d, tight)
+        return extremal_min_index(n)
+    raise ValueError(f"kind must be 'type2' or 'fwe', got {kind!r}")
 
 
 def derivative_closed_form(W: HomogeneousPoly) -> HomogeneousPoly:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -28,12 +29,21 @@ class EnumeratorFormatError(ValueError):
     """Malformed enumerator document."""
 
 
+def _int(text: str) -> int:
+    """int(text), where a string past int's digit limit is an input error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise EnumeratorFormatError(
+            f"integer longer than {sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string; rejects anything not already in
     lowest terms with a positive denominator (e.g. "2/4", "-0", "03", "1/0")."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise EnumeratorFormatError(f"not a rational string: {text!r}")
-    value = Fraction(text)
+    value = Fraction(*map(_int, text.split("/")))
     if str(value) != text:
         raise EnumeratorFormatError(f"rational string not canonical: {text!r}")
     return value
@@ -60,7 +70,7 @@ def enumerator_from_document(doc) -> HomogeneousPoly:
     for key, text in coeffs.items():
         if not re.fullmatch(r"0|[1-9][0-9]*", key):
             raise EnumeratorFormatError(f"bad coefficient index: {key!r}")
-        index = int(key)
+        index = _int(key)
         if index > degree:
             raise EnumeratorFormatError(
                 f"coefficient index {index} exceeds degree {degree}")
@@ -82,8 +92,8 @@ def _unique_keys(pairs) -> dict:
 def read_enumerator_file(path) -> HomogeneousPoly:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-        except (json.JSONDecodeError, RecursionError) as e:
+            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_int=_int)
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as e:
             raise EnumeratorFormatError(f"invalid JSON: {e}") from e
     return enumerator_from_document(doc)
 

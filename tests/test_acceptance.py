@@ -170,12 +170,11 @@ def test_criterion_7_divisibility(all_extremals):
 
 def test_criterion_8_bound_tightness(all_extremals, product_zetas):
     for n, comb in all_extremals.items():
-        report = mallows_sloane_bound("fwe", n, observed_d=comb.d)
-        assert report.tight, f"n={n}"
+        assert mallows_sloane_bound("fwe", n) == comb.d, f"n={n}"
     for (s, k), (Z, _) in product_zetas.items():
         n = Z.context.n
         assert Z.context.d == 4
-        assert 4 <= mallows_sloane_bound("fwe", n).bound
+        assert 4 <= mallows_sloane_bound("fwe", n)
     print("\nCRITERION 8 PASS: extremal d attains the bound at every degree; "
           "product fixtures respect it")
 

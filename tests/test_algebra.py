@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta.algebra import (HomogeneousPoly, Matrix2, SingularMatrixError,
@@ -214,21 +214,47 @@ class TestUniPoly:
 # The shared dense core: both polynomial shapes run the same product and
 # power, and UniPoly's divmod is the one long division exact_divide uses.
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+sparse = st.just(F(0)) | rationals      # about half the entries zero
 
 
 def unipolys(max_degree=6):
     return st.lists(rationals, max_size=max_degree + 1).map(UniPoly)
 
 
-def homogeneous(max_degree=5):
+def homogeneous(max_degree=5, entries=rationals):
     return st.integers(0, max_degree).flatmap(
-        lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1).map(
+        lambda n: st.lists(entries, min_size=n + 1, max_size=n + 1).map(
             lambda c: HomogeneousPoly(n, c)))
 
 
 def dehomogenize(W):
     """W(x, 1) as a UniPoly in x: index i of W carries x^(n-i)."""
     return UniPoly(reversed(W.coeffs))
+
+
+def _strip_y(W):
+    """(v, W / y^v dehomogenised at y = 1 as a UniPoly in x)."""
+    v = next(i for i, c in enumerate(W.coeffs) if c)
+    return v, UniPoly(reversed(W.coeffs[v:]))
+
+
+def exact_divide_at_y1(A, B):
+    """Reference division by the former route: strip the pure power of y
+    from each operand, dehomogenise at y = 1, divide, then reverse the
+    quotient and shift it back by y^(va - vb)."""
+    if A.is_zero():
+        if A.degree >= B.degree:
+            return HomogeneousPoly.zero(A.degree - B.degree)
+        return None
+    va, a = _strip_y(A)
+    vb, b = _strip_y(B)
+    if va < vb:
+        return None
+    quot, rem = divmod(a, b)
+    if not rem.is_zero():
+        return None
+    return HomogeneousPoly(A.degree - B.degree,
+                           [0] * (va - vb) + list(reversed(quot.coeffs)))
 
 
 class TestDenseCore:
@@ -255,13 +281,31 @@ class TestDenseCore:
     @given(homogeneous(), homogeneous(), st.integers(0, 3), st.integers(0, 3),
            st.integers(0, 3), st.integers(0, 3))
     def test_exact_divide_round_trip_with_pure_powers(self, A, B, i, j, k, l):
-        # x^i y^j A divided by x^k y^l B: the pure powers of x and y are
-        # what exact_divide strips and restores around the division
+        # x^i y^j A divided by x^k y^l B: in t = y/x a power of y is
+        # low-order zeros of the vector and a power of x is degree room
+        # the t-quotient must leave
         if B.is_zero():
             return
         A = A * HomogeneousPoly.from_sparse(i + j, {j: 1})
         B = B * HomogeneousPoly.from_sparse(k + l, {l: 1})
         assert exact_divide(A * B, B) == A
+
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous(8, sparse), homogeneous(8, sparse), st.booleans())
+    @example(HomogeneousPoly.zero(2), HomogeneousPoly(3, [1, 0, 0, 1]), False)
+    @example(HomogeneousPoly.zero(5), HomogeneousPoly(3, [0, 1, 1, 0]), False)
+    @example(HomogeneousPoly(2, [1, 0, 0]), HomogeneousPoly(1, [0, 1]), False)
+    def test_exact_divide_matches_y1_reference(self, A, B, as_product):
+        # both directions on random input; half the pairs are B * Q, the
+        # rest mostly not divisible, with deg A < deg B and zero A drawn too
+        if B.is_zero():
+            return
+        if as_product:
+            A = B * A
+        Q = exact_divide(A, B)
+        assert Q == exact_divide_at_y1(A, B)
+        if Q is not None:
+            assert B * Q == A
 
     @settings(max_examples=100, deadline=None)
     @given(homogeneous(), homogeneous(), st.integers(0, 3))

@@ -16,6 +16,9 @@ from fwezeta.files import MAX_DEGREE, read_enumerator_file, write_enumerator_fil
 from fwezeta.fwe import W8, W12, build_extremal
 
 DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
+# 5000 digits: past int's default limit of 4300 digits for a decimal string
+LONG = "1" + "0" * 4999
+LONG_VALUE = b'{"degree": 4, "coefficients": {"0": "1", "4": "%s"}}' % LONG.encode()
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -126,6 +129,21 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: repeated key: {key}\n"
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", LONG_VALUE,
+        b'{"degree": %s0, "coefficients": {"0": "1"}}' % LONG.encode(),
+        b'{"degree": 4, "coefficients": {"0": "1", "%s0": "1"}}' % LONG.encode()],
+        ids=["not_utf8", "long_value", "long_degree", "long_key"])
+    def test_bad_bytes_and_long_integers_are_input_errors(self, tmp_path, capsys,
+                                                          content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["check", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "set_int_max_str_digits" not in captured.err
 
     def test_zero_denominator_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -433,7 +451,7 @@ def enumerator_documents(draw):
 
 class TestExitCodeContract:
     """Whatever an input file holds, check and zeta exit 0, 1 or 2 and
-    never let an exception escape."""
+    never let an exception escape; check's only exit 2 is an input error."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -441,8 +459,14 @@ class TestExitCodeContract:
            | st.one_of(enumerator_documents(), _json_values).map(
                lambda doc: json.dumps(doc).encode()))
     @example(DEEPLY_NESTED)
-    def test_any_input_file(self, tmp_path, content):
+    @example(b"\xff\xfe{}")
+    @example(LONG_VALUE)
+    def test_any_input_file(self, tmp_path, capsys, content):
         path = tmp_path / "input.json"
         path.write_bytes(content)
         for command in ("check", "zeta"):
-            assert main([command, "--input", str(path)]) in (0, 1, 2)
+            code = main([command, "--input", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if command == "check" and code == 2:
+                assert err.startswith("input error:"), err

@@ -12,6 +12,15 @@ from fwezeta.fwe import (W12, extremal_min_index, is_formal_weight_enumerator,
                          min_weight_index)
 
 F = Fraction
+# 5000 digits: past int's default limit of 4300 digits for a decimal string
+LONG = "1" + "0" * 4999
+# bytes that are not UTF-8, and a long value, degree and key
+MALFORMED = {
+    "not_utf8": b"\xff\xfe{}",
+    "long_value": b'{"degree": 4, "coefficients": {"0": "1", "4": "%s"}}' % LONG.encode(),
+    "long_degree": b'{"degree": %s0, "coefficients": {"0": "1"}}' % LONG.encode(),
+    "long_key": b'{"degree": 4, "coefficients": {"0": "1", "%s0": "1"}}' % LONG.encode(),
+}
 
 
 class TestRationalStrings:
@@ -22,7 +31,10 @@ class TestRationalStrings:
 
     @pytest.mark.parametrize("bad", ["2/4", "-0", "03", "1/-2", "1.5", "", "x", "5/1",
                                      "1/0", "-3/0", "\u0665", "-\u0663/4",
-                                     "1/\u0664"])
+                                     "1/\u0664",
+                                     pytest.param(LONG, id="long"),
+                                     pytest.param("-" + LONG, id="negative_long"),
+                                     pytest.param("1/" + LONG, id="long_denominator")])
     def test_rejects_non_canonical(self, bad):
         with pytest.raises(EnumeratorFormatError):
             parse_rational(bad)
@@ -97,6 +109,15 @@ class TestEnumeratorFiles:
         path.write_text(text)
         with pytest.raises(EnumeratorFormatError, match="repeated key"):
             read_enumerator_file(path)
+
+    @pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejects_bad_bytes_and_long_integers(self, tmp_path, content):
+        # int() and the UTF-8 decoder raise plain ValueErrors for these
+        path = tmp_path / "w.json"
+        path.write_bytes(content)
+        with pytest.raises(EnumeratorFormatError) as info:
+            read_enumerator_file(path)
+        assert "set_int_max_str_digits" not in str(info.value)
 
     def test_writer_refuses_non_monic(self, tmp_path):
         with pytest.raises(EnumeratorFormatError):
