@@ -30,6 +30,14 @@ def _as_scalar(value):
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
+def _scaled_to_integers(coeffs: Sequence[Fraction]) -> tuple:
+    """(den, [den * c for c in coeffs]) with den the least common
+    denominator of coeffs (1 when there are none), so that every entry
+    of the list is an int."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 class _DensePoly:
     """Immutable dense coefficient vector ``coeffs`` with the arithmetic
     both polynomial shapes share.  Results are built by ``_new(coeffs)``,

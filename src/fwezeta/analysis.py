@@ -18,8 +18,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
-                      exact_divide, substitute_linear)
+from .algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
+                      apply_diff_operator, exact_divide, substitute_linear)
 from .fwe import extremal_min_index, is_formal_weight_enumerator
 from .zeta import ZetaPolynomial, functional_equation_sign, min_weight_index
 
@@ -214,8 +214,8 @@ def _certify_on_circle(R: UniPoly, q: int) -> bool:
     bits = _grid_bits(q) and the shifts 2^(bits (k-i)) folded into r_i.
     """
     k, bits = R.degree, _grid_bits(q)
-    den = math.lcm(*(c.denominator for c in R.coeffs))
-    r = [int(c * den) << (bits * (k - i)) for i, c in enumerate(R.coeffs)]
+    r = [c << (bits * (k - i))
+         for i, c in enumerate(_scaled_to_integers(R.coeffs)[1])]
     points = 2 * k + 2
     for _ in range(CERTIFICATE_DOUBLINGS + 1):
         changes, last = 0, 0

@@ -50,8 +50,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def enumerator_to_document(W: HomogeneousPoly) -> dict:
-    """Sparse JSON document for a polynomial, indices in ascending order."""
-    coeffs = {str(i): str(W.coefficient(i)) for i in W.support()}
+    """Sparse JSON document for a polynomial, indices in ascending order.
+    A coefficient with an integer past int's digit limit for a decimal
+    string has no exact string and is a ValueError of its own."""
+    try:
+        coeffs = {str(i): str(W.coefficient(i)) for i in W.support()}
+    except ValueError:
+        raise ValueError(
+            f"result has an integer longer than {sys.get_int_max_str_digits()} "
+            "digits, the limit for exact output") from None
     return {"degree": W.degree, "coefficients": coeffs}
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (HomogeneousPoly, Matrix2, UniPoly, solve_linear,
-                      substitute_linear)
+from .algebra import (HomogeneousPoly, UniPoly, _scaled_to_integers,
+                      solve_linear)
 
 
 def min_weight_index(W: HomogeneousPoly) -> int:
@@ -72,26 +72,38 @@ class ZetaPolynomial:
 
 
 def compute_zeta(ctx: EnumeratorContext) -> ZetaPolynomial:
-    """P(T) in closed form from the binomial moments of W.
+    """P(T) in closed form from the binomial moments of W, on integers.
 
     Write y(1-T) + xT = y + (x-y)T and let c_k be the T^k coefficient of
     P(T)/((1-T)(1-qT)).  On the basis y^(n-j) (x-y)^j, the T^(n-d)
     coefficient of P(T) f(T) is C(n, j) c_(n-d-j).  With a_i the
     coefficient of x^i y^(n-i), substituting x = (x-y) + y gives
-    (W - x^n)/(q-1) the coefficient sum_{i=j}^{n-1} a_i C(i, j)/(q-1) on
-    the same basis element, zero for j > n-d because a_i = 0 for
-    n-d < i < n.  Since C(n, j) != 0,
+    (W - x^n)/(q-1) the coefficient b_j/(q-1) on the same basis element,
+    where b_j = sum_{i=j}^{n-d} a_i C(i, j) is a binomial moment (a_i = 0
+    for n-d < i < n).  Since C(n, j) != 0,
 
-        c_(n-d-j) = sum_i a_i C(i, j) / ((q-1) C(n, j)),   j = 0..n-d,
+        c_(n-d-j) = b_j / ((q-1) C(n, j)),   j = 0..n-d,
 
-    and P is unique: it is (sum_k c_k T^k)(1-T)(1-qT) cut at degree n-d.
+    and P is unique: it is (sum_k c_k T^k)(1-T)(1-qT) cut at degree n-d,
+    that is p_k = c_k - (1+q) c_(k-1) + q c_(k-2).
+
+    The moments come from a Taylor shift: with A(s) = sum_i a_i s^i,
+    A(1 + s) = sum_i a_i sum_j C(i, j) s^j = sum_j b_j s^j.  Horner's rule
+    for A at 1 + s becomes, in place on the scaled integer coefficients
+    of A, n-d passes in which pass i adds b_(j+1) into b_j for
+    j = n-d-1 down to i (von zur Gathen & Gerhard, ISSAC 1997), so no
+    binomial is formed per term and no Fraction before the end.
     """
     n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
-    a = [ctx.W.coefficient(n - i) for i in range(nd + 1)]
-    c = [Fraction(sum(a[i] * math.comb(i, j) for i in range(j, nd + 1)),
-                  (q - 1) * math.comb(n, j)) for j in range(nd, -1, -1)]
-    product = UniPoly(c) * UniPoly([1, -1]) * UniPoly([1, -q])
-    return ZetaPolynomial(UniPoly(product.coeffs[:nd + 1]), ctx)
+    den, b = _scaled_to_integers([ctx.W.coefficient(n - i) for i in range(nd + 1)])
+    for i in range(nd):
+        for j in range(nd - 1, i - 1, -1):
+            b[j] += b[j + 1]
+    # c[k + 2] = c_k, behind c_(-2) = c_(-1) = 0
+    c = [0, 0] + [Fraction(b[nd - k], den * (q - 1) * math.comb(n, nd - k))
+                  for k in range(nd + 1)]
+    return ZetaPolynomial(UniPoly(c[k + 2] - (1 + q) * c[k + 1] + q * c[k]
+                                  for k in range(nd + 1)), ctx)
 
 
 def _series_term_polys(ctx: EnumeratorContext) -> list:
@@ -160,13 +172,11 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
     n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
     if P.degree > nd:
         return False
-    p_den = math.lcm(*(c.denominator for c in P.coeffs))
-    w_den = math.lcm(*(c.denominator for c in ctx.W.coeffs))
+    p_den, p = _scaled_to_integers(P.coeffs)
+    w_den, w = _scaled_to_integers(ctx.W.coeffs)
     # p_rev[i] = p_den P_(n-d-i) pairs with b_i; w[i] is the x^(n-i) y^i
     # coefficient of w_den W
-    p_rev = [c.numerator * (p_den // c.denominator)
-             for c in map(P.coefficient, range(nd, -1, -1))]
-    w = [c.numerator * (w_den // c.denominator) for c in ctx.W.coeffs]
+    p_rev = [0] * (nd + 1 - len(p)) + p[::-1]
     binomials = [math.comb(n, j) for j in range(nd + 1)]
     for t in range(n + 1):
         power, prefix, b, lhs = 1, 0, 0, 0
@@ -192,7 +202,24 @@ def genus(n: int, d: int) -> int:
 
 @functools.lru_cache(typed=True)
 def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
-    """q^(-n/2) * W(x + (q-1)y, x - y), computed entirely over Q.
+    """q^(-n/2) * W(x + (q-1)y, x - y), computed on integers.
+
+    The coefficient of x^(n-j) y^j in (x + (q-1)y)^(n-i) (x - y)^i is the
+    Krawtchouk number K_j(i), the z^j coefficient of
+    G(z) = (1 + (q-1)z)^(n-i) (1 - z)^i.  Comparing z^j coefficients in
+    (1 + (q-1)z)(1 - z) G'(z) = ((n-i)(q-1)(1-z) - i(1 + (q-1)z)) G(z)
+    gives the three-term recurrence, from K_(-1) = 0 and K_0 = 1,
+
+        (j+1) K_(j+1)(i) = ((n-j)(q-1) + j - q i) K_j(i)
+                           - (q-1)(n-j+1) K_(j-1)(i).
+
+    Its division is exact: the right side equals (j+1) K_(j+1)(i), and
+    K_(j+1)(i) is an integer, a coefficient of a product of polynomials
+    with integer coefficients; scaling every K_j(i) by one integer keeps
+    it so.  With W scaled to integers a_i over one denominator den, the
+    recurrence runs on a_i K_j(i) for each i in the support of W, output
+    j collects sum_i a_i K_j(i), and one division by den * q^(n/2) ends
+    it (MacWilliams & Sloane, ch. 5 sec. 7).
 
     The even-degree restriction is what makes the q^(-n/2) scale rational;
     odd degrees would need sqrt(q) and are rejected.  Cached, because the
@@ -201,10 +228,21 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
     """
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    if W.degree % 2:
+    n = W.degree
+    if n % 2:
         raise ValueError("transform needs an even-degree polynomial")
-    M = Matrix2(Fraction(1), Fraction(q - 1), Fraction(1), Fraction(-1))
-    return substitute_linear(W, M) * Fraction(1, q ** (W.degree // 2))
+    den, a = _scaled_to_integers(W.coeffs)
+    out = [0] * (n + 1)
+    for i, a_i in enumerate(a):
+        if not a_i:
+            continue
+        prev, cur = 0, a_i          # a_i K_(j-1)(i) and a_i K_j(i)
+        for j in range(n + 1):
+            out[j] += cur
+            prev, cur = cur, (((n - j) * (q - 1) + j - q * i) * cur
+                              - (q - 1) * (n - j + 1) * prev) // (j + 1)
+    scale = den * q ** (n // 2)
+    return HomogeneousPoly(n, [Fraction(c, scale) for c in out])
 
 
 def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:

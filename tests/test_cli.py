@@ -91,6 +91,22 @@ class TestTransformCommand:
         err = capsys.readouterr().err
         assert f"cannot write {out_path}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_result_past_digit_limit_is_error(self, tmp_path, capsys, fmt):
+        # the input's 4290-digit coefficients are valid; the transform at
+        # q = 1000 has integers past int's 4300-digit limit for a string
+        big = "1" + "0" * 4289
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": 12, "coefficients": {
+            "0": "1", "4": big, "8": big, "12": "1"}}))
+        out_path = tmp_path / "t.json"
+        assert main(["transform", "--input", str(path), "--q", "1000",
+                     "--format", fmt, "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert captured.err == ("error: result has an integer longer than "
+                                "4300 digits, the limit for exact output\n")
+
 
 class TestCheckCommand:
     def test_w12_passes(self, w12_file, capsys):

@@ -8,7 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fwezeta import analysis, cli, zeta
+from fwezeta import algebra, analysis, cli, fwe, zeta
+from fwezeta.files import write_enumerator_file
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -55,6 +56,22 @@ def test_verify_all_runs_no_dense_solve(monkeypatch):
     monkeypatch.setattr(cli, "zeta_oracle", refuse)
     monkeypatch.setattr(zeta, "solve_linear", refuse)
     assert cli.main(["verify-all", "--max-degree", "36"]) == 0
+
+
+def test_transform_runs_no_substitution(monkeypatch, tmp_path):
+    # the MacWilliams transform runs the integer Krawtchouk recurrence;
+    # check and divisibility must not reach the polynomial substitution,
+    # under whatever name a module imported it
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial substitution in the transform")
+    for module in (algebra, analysis, fwe, zeta):
+        if hasattr(module, "substitute_linear"):
+            monkeypatch.setattr(module, "substitute_linear", refuse)
+    zeta.macwilliams_transform.cache_clear()     # a cached W would hide it
+    path = tmp_path / "e36.json"
+    write_enumerator_file(fwe.build_extremal(36).expanded, path)
+    assert cli.main(["check", "--input", str(path)]) == 0
+    assert cli.main(["divisibility", "--input", str(path)]) == 0
 
 
 def test_only_main_prints_to_stdout():

@@ -4,10 +4,10 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwezeta.algebra import HomogeneousPoly, UniPoly
+from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, substitute_linear
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import (EnumeratorContext, ZetaPolynomial,
                           _series_term_polys, compute_zeta,
@@ -31,6 +31,33 @@ def random_context(rng, max_degree=24):
             coeffs[i] = F(rng.randint(-9, 9), rng.randint(1, 9))
     q = rng.choice([2, 3, 4, 5, 7])
     return EnumeratorContext(HomogeneousPoly(n, coeffs), q)
+
+
+def comb_sum_zeta(ctx):
+    """compute_zeta's former form, kept as its reference: each binomial
+    moment as a sum of math.comb terms, then (sum_k c_k T^k)(1-T)(1-qT)
+    as UniPoly products cut at degree n-d."""
+    n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
+    a = [ctx.W.coefficient(n - i) for i in range(nd + 1)]
+    c = [F(sum(a[i] * math.comb(i, j) for i in range(j, nd + 1)),
+           (q - 1) * math.comb(n, j)) for j in range(nd, -1, -1)]
+    product = UniPoly(c) * UniPoly([1, -1]) * UniPoly([1, -q])
+    return UniPoly(product.coeffs[:nd + 1])
+
+
+def substitution_transform(W, q):
+    """macwilliams_transform's former form, kept as its reference: the
+    polynomial substitution W(x + (q-1)y, x - y) scaled by q^(-n/2)."""
+    M = Matrix2(F(1), F(q - 1), F(1), F(-1))
+    return substitute_linear(W, M) * F(1, q ** (W.degree // 2))
+
+
+# even degrees 0..20, about half the entries zero, denominators up to 12
+even_degree_polys = st.integers(0, 10).flatmap(
+    lambda half: st.lists(
+        st.just(F(0)) | st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        min_size=2 * half + 1, max_size=2 * half + 1).map(
+            lambda coeffs: HomogeneousPoly(len(coeffs) - 1, coeffs)))
 
 
 class TestContext:
@@ -72,6 +99,12 @@ class TestComputeZeta:
             ctx = random_context(rng)
             Z = compute_zeta(ctx)
             assert Z.P.degree <= ctx.n - ctx.d
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_comb_sum_form(self, rng):
+        ctx = random_context(rng)
+        assert compute_zeta(ctx).P == comb_sum_zeta(ctx)
 
     def test_defining_property_replay(self):
         rng = random.Random(43)
@@ -200,6 +233,14 @@ class TestMacWilliams:
     def test_small_identity(self):
         p = HomogeneousPoly(2, [1, 0, 1])
         assert macwilliams_transform(p, 2) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(even_degree_polys, st.sampled_from([2, 3, 4, 5]))
+    @example(HomogeneousPoly.zero(8), 3)
+    @example(HomogeneousPoly(0, [F(7, 3)]), 5)
+    @example(HomogeneousPoly.from_sparse(20, {0: F(1, 6), 13: F(-5, 4)}), 4)
+    def test_matches_substitution(self, W, q):
+        assert macwilliams_transform(W, q) == substitution_transform(W, q)
 
     def test_involution(self):
         rng = random.Random(53)
