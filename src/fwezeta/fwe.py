@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from .algebra import HomogeneousPoly, SingularMatrixError, solve_linear
+from .algebra import (HomogeneousPoly, SingularMatrixError,
+                      _scaled_to_integers, solve_linear)
 from .files import MAX_DEGREE
 from .zeta import macwilliams_transform, min_weight_index
 
@@ -26,9 +28,33 @@ W24_PRIME = (HomogeneousPoly(8, [0, 0, 0, 0, 1, 0, 0, 0, 0])
              * HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** 4)
 
 
+# Every basis element is supported on indices divisible by 4, so it is
+# kept as a polynomial in u = (y/x)^4: entry j of these int tuples is the
+# coefficient of x^(n-4j) y^(4j).
+_W8_U = (1, 14, 1)
+_W12_U = (1, -33, -33, 1)
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """The product of two int polynomials in u, on ints."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _spread(u: Sequence[int], den: int = 1) -> HomogeneousPoly:
+    """The HomogeneousPoly with u[j]/den at index 4j."""
+    coeffs = [0] * (4 * len(u) - 3)
+    coeffs[::4] = [Fraction(c, den) for c in u]
+    return HomogeneousPoly(len(coeffs) - 1, coeffs)
+
+
 @lru_cache(maxsize=None)
-def _power(W: HomogeneousPoly, k: int) -> HomogeneousPoly:
-    return _power(W, k - 1) * W if k else HomogeneousPoly(0, [1])
+def _power(w: tuple, k: int) -> tuple:
+    return _convolve(_power(w, k - 1), w) if k else (1,)
 
 
 @dataclass(frozen=True)
@@ -39,7 +65,7 @@ class FweBasisElement:
     t: int
 
     def expand(self) -> HomogeneousPoly:
-        return _basis_expansion(self.s, self.t)
+        return _spread(_basis_expansion(self.s, self.t))
 
     def __str__(self):
         w8 = "" if not self.s else ("W8*" if self.s == 1 else f"W8^{self.s}*")
@@ -48,8 +74,9 @@ class FweBasisElement:
 
 
 @lru_cache(maxsize=None)
-def _basis_expansion(s: int, t: int) -> HomogeneousPoly:
-    return _power(W8, s) * _power(W12, 2 * t + 1)
+def _basis_expansion(s: int, t: int) -> tuple:
+    """W8^s W12^(2t+1) as an int tuple in u = (y/x)^4."""
+    return _convolve(_power(_W8_U, s), _power(_W12_U, 2 * t + 1))
 
 
 @dataclass(frozen=True)
@@ -170,7 +197,10 @@ def build_extremal(n: int) -> FweCombination:
     combination coefficients = 1; coefficient of x^(n-4j) y^(4j) = 0 for
     j = 1..m} kills every index below 4m + 4.  The system is solved
     exactly and the resulting minimum index is checked against the bound.
-    Degrees above files.MAX_DEGREE, which no file could carry, are refused.
+    The basis products are int tuples in u = (y/x)^4, so the combination
+    is summed on ints over the solution's one common denominator and
+    divided once.  Degrees above files.MAX_DEGREE, which no file could
+    carry, are refused.
     """
     if n % 8 != 4 or n < 12:
         raise ValueError(f"no formal weight enumerators of degree {n}")
@@ -178,18 +208,18 @@ def build_extremal(n: int) -> FweCombination:
         raise ValueError(f"degree {n} exceeds the file limit {MAX_DEGREE}")
     basis = enumerate_basis(n)
     m = len(basis) - 1
-    polys = [e.expand() for e in basis]
-    A = [[Fraction(1)] * (m + 1)]
-    A += [[p.coefficient(4 * j) for p in polys] for j in range(1, m + 1)]
-    b = [Fraction(1)] + [Fraction(0)] * m
+    us = [_basis_expansion(e.s, e.t) for e in basis]
+    A = [[1] * (m + 1)]
+    A += [[u[j] for u in us] for j in range(1, m + 1)]
+    b = [1] + [0] * m
     try:
         sol = solve_linear(A, b)
     except SingularMatrixError as e:
         raise SingularMatrixError(
             f"no unique extremal combination at degree {n}") from e
-    expanded = HomogeneousPoly.zero(n)
-    for coeff, poly in zip(sol, polys):
-        expanded = expanded + poly * coeff
+    den, scaled = _scaled_to_integers(sol)
+    total = [sum(c * u[j] for c, u in zip(scaled, us)) for j in range(n // 4 + 1)]
+    expanded = _spread(total, den)
     d = min_weight_index(expanded)
     expected = extremal_min_index(n)
     if d != expected:

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwezeta.algebra import HomogeneousPoly
+from fwezeta.algebra import HomogeneousPoly, solve_linear
 from fwezeta.files import MAX_DEGREE
 from fwezeta.fwe import (W8, W12, W24_PRIME, FweBasisElement, build_extremal,
                          check_invariance_g8, enumerate_basis,
@@ -146,6 +147,35 @@ class TestBasis:
         e = FweBasisElement(3, 1)
         assert e.expand().degree == 60
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 15), st.integers(0, 5))
+    @example(0, 0)
+    @example(15, 5)
+    def test_expansion_is_the_product(self, s, t):
+        assert FweBasisElement(s, t).expand() == W8 ** s * W12 ** (2 * t + 1)
+
+
+@lru_cache(maxsize=None)
+def _reference_power(W, k):
+    return _reference_power(W, k - 1) * W if k else HomogeneousPoly(0, [1])
+
+
+def reference_extremal(n):
+    """Reference for build_extremal: the basis products as Fraction
+    HomogeneousPoly powers, the same solve_linear, and the combination
+    summed one scaled polynomial at a time.  Returns (terms, expanded)."""
+    basis = enumerate_basis(n)
+    m = len(basis) - 1
+    polys = [_reference_power(W8, e.s) * _reference_power(W12, 2 * e.t + 1)
+             for e in basis]
+    A = [[F(1)] * (m + 1)]
+    A += [[p.coefficient(4 * j) for p in polys] for j in range(1, m + 1)]
+    sol = solve_linear(A, [F(1)] + [F(0)] * m)
+    expanded = HomogeneousPoly.zero(n)
+    for coeff, poly in zip(sol, polys):
+        expanded = expanded + poly * coeff
+    return tuple(zip(basis, sol)), expanded
+
 
 class TestBuildExtremal:
     def test_degree_36(self):
@@ -187,6 +217,15 @@ class TestBuildExtremal:
     def test_d_matches_bound_formula(self, all_extremals):
         for n, comb in all_extremals.items():
             assert comb.d == extremal_min_index(n) == 4 * ((n - 12) // 24) + 4
+
+    def test_matches_reference_builder(self):
+        for n in range(12, 421, 8):
+            terms, expanded = reference_extremal(n)
+            comb = build_extremal(n)
+            assert comb.degree == n
+            assert comb.terms == terms
+            assert comb.expanded == expanded
+            assert comb.d == min_weight_index(expanded) == extremal_min_index(n)
 
     def test_expansions_are_fwe(self):
         for n in (36, 60, 84):

@@ -1,6 +1,7 @@
 """Guards on what the package loads, what the exact RH certificate runs
-on, what the headline command may call, the functions the benchmark
-traces, and where the command line front end may print to stdout."""
+on, what the headline command and the extremal builder may call, the
+functions the benchmark traces, and where the command line front end may
+print to stdout."""
 import ast
 import importlib.util
 import os
@@ -72,6 +73,18 @@ def test_transform_runs_no_substitution(monkeypatch, tmp_path):
     write_enumerator_file(fwe.build_extremal(36).expanded, path)
     assert cli.main(["check", "--input", str(path)]) == 0
     assert cli.main(["divisibility", "--input", str(path)]) == 0
+
+
+def test_extremal_runs_no_polynomial_product(monkeypatch):
+    # the extremal builder multiplies int tuples in u = (y/x)^4; extremal
+    # and table must not reach the Fraction polynomial product
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction polynomial product in the extremal builder")
+    fwe._power.cache_clear()     # a cached product would hide it
+    fwe._basis_expansion.cache_clear()
+    monkeypatch.setattr(algebra._DensePoly, "__mul__", refuse)
+    assert cli.main(["extremal", "--degree", "196"]) == 0
+    assert cli.main(["table", "--max-degree", "196"]) == 0
 
 
 def test_only_main_prints_to_stdout():
