@@ -11,6 +11,7 @@ estimates.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +51,13 @@ class RootSet:
 def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """All complex roots of P by the Aberth-Ehrlich simultaneous iteration.
 
-    The rational coefficients are converted at the working precision and
-    iteration stops when the largest update drops below
+    The rational coefficients are converted at the working precision.
+    The points start from the same iteration run in double precision
+    (_aberth_double), or from a circle when double precision cannot hold
+    P, and are polished until the largest update drops below
     2^(-precision_bits/2); hitting the iteration cap first raises
-    RootFindingError rather than returning unconverged values.
+    RootFindingError rather than returning unconverged values.  The
+    iteration count is that of the polishing sweeps.
     """
     if P.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -69,30 +73,11 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
         residuals = [mp.mpf(0)] * vzero
         iterations = 0
         if deg >= 1:
-            z = _aberth_initial(c, deg)
+            z = _aberth_double(c, deg) or _aberth_initial(c, deg)
             tol = mp.mpf(2) ** (-(precision_bits // 2))
             dc = [c[i] * i for i in range(1, deg + 1)]
             for iterations in range(1, MAX_ITERATIONS + 1):
-                biggest = mp.mpf(0)
-                for k in range(deg):
-                    zk = z[k]
-                    pv = c[deg]
-                    for i in range(deg - 1, -1, -1):
-                        pv = pv * zk + c[i]
-                    if not pv:
-                        continue
-                    dv = dc[deg - 1]
-                    for i in range(deg - 2, -1, -1):
-                        dv = dv * zk + dc[i]
-                    s = mp.mpc(0)
-                    for j in range(deg):
-                        if j != k:
-                            s += 1 / (zk - z[j])
-                    denom = dv - pv * s
-                    step = pv / denom if denom else pv / dv
-                    z[k] = zk - step
-                    if abs(step) > biggest:
-                        biggest = abs(step)
+                biggest = max(map(abs, _aberth_sweep(c, dc, z)))
                 if biggest < tol:
                     break
             else:
@@ -104,6 +89,34 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
         return RootSet(tuple(roots), tuple(residuals), iterations)
 
 
+def _aberth_sweep(c, dc, z):
+    """One Aberth-Ehrlich sweep, updating the points z in place, for the
+    coefficients c of p and dc of p', all mp or all Python numbers.
+    Returns the steps taken, 0 where p vanishes at the point."""
+    deg = len(c) - 1
+    steps = []
+    for k in range(deg):
+        zk = z[k]
+        pv = c[deg]
+        for i in range(deg - 1, -1, -1):
+            pv = pv * zk + c[i]
+        if not pv:
+            steps.append(0)
+            continue
+        dv = dc[deg - 1]
+        for i in range(deg - 2, -1, -1):
+            dv = dv * zk + dc[i]
+        s = 0
+        for j in range(deg):
+            if j != k:
+                s += 1 / (zk - z[j])
+        denom = dv - pv * s
+        step = pv / denom if denom else pv / dv
+        z[k] = zk - step
+        steps.append(step)
+    return steps
+
+
 def _aberth_initial(c, deg):
     """Starting points on a circle sized by the root-product estimate,
     rotated off the axes so symmetric configurations cannot stall."""
@@ -112,6 +125,53 @@ def _aberth_initial(c, deg):
         r = mp.mpf(1)
     return [r * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5))
             for k in range(deg)]
+
+
+# The double-precision stage stops once the largest step relative to its
+# point is below _DOUBLE_TOLERANCE, or once that step has not reached a
+# new minimum for _DOUBLE_STALL sweeps (a multiple root, or rounding).
+_DOUBLE_TOLERANCE = 1e-13
+_DOUBLE_STALL = 20
+
+
+def _aberth_double(c, deg):
+    """Starting points for the multiprecision Aberth loop, as mpc: the
+    same sweeps in Python complex from the same rotated circle, on the mp
+    coefficients c (c[0] and c[deg] nonzero) scaled by one power of two
+    so that the largest has magnitude in [1/2, 1), which leaves the roots
+    as they are.
+
+    None when double precision cannot hold the problem: a nonzero
+    coefficient scales to 0, a point is not finite, or two points
+    coincide.  The multiprecision loop then starts from the circle."""
+    shift = -max(mp.mag(ci) for ci in c)
+    a = [float(mp.ldexp(ci, shift)) for ci in c]
+    if any(ci and not ai for ai, ci in zip(a, c)):
+        return None
+    da = [a[i] * i for i in range(1, deg + 1)]
+    r = (abs(a[0]) / abs(a[deg])) ** (1 / deg)
+    z = [r * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)]
+    best, stalled = math.inf, 0
+    try:
+        for _ in range(MAX_ITERATIONS):
+            steps = _aberth_sweep(a, da, z)
+            if not all(map(cmath.isfinite, z)):
+                return None
+            biggest = max((abs(step) / abs(zk) for step, zk in zip(steps, z) if zk),
+                          default=0.0)
+            if biggest < _DOUBLE_TOLERANCE:
+                break
+            if biggest < best:
+                best, stalled = biggest, 0
+            else:
+                stalled += 1
+                if stalled >= _DOUBLE_STALL:
+                    break
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if len(set(z)) < deg:
+        return None
+    return [mp.mpc(zk) for zk in z]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import analysis
@@ -24,6 +24,30 @@ DIFF_OP = HomogeneousPoly(6, [0, 1, 0, 0, 0, -1, 0])
 # the W8^s W12^k of the RH table in the acceptance suite whose RH fails
 RH_FALSE_PRODUCTS = [(3, 1), (0, 3), (4, 1), (1, 3), (5, 1), (2, 3),
                      (6, 1), (3, 3), (0, 5)]
+
+# check_rh on each RH_FALSE_PRODUCTS entry as the circle-started Aberth
+# found it: max_relative_deviation, then the real part and modulus of
+# each offending root, ascending, as mp.nstr(., 17)
+RH_FALSE_REPORTS = {
+    (3, 1): (0.43243138155887156, [("0.49364094524166644", "0.49364094524166644"),
+                                   ("1.012881943484693", "1.012881943484693")]),
+    (0, 3): (0.41248584388475074, [("0.5006115878951369", "0.5006115878951369"),
+                                   ("0.99877831854091038", "0.99877831854091038")]),
+    (4, 1): (0.41522660794972555, [("0.4996420906832376", "0.4996420906832376"),
+                                   ("1.0007163313968865", "1.0007163313968865")]),
+    (1, 3): (0.4139386894756855, [("0.50009720113731079", "0.50009720113731079"),
+                                  ("0.99980563551027732", "0.99980563551027732")]),
+    (5, 1): (0.4142909773643642, [("0.49997263116554224", "0.49997263116554224"),
+                                  ("1.0000547406652919", "1.0000547406652919")]),
+    (2, 3): (0.4141732092391856, [("0.50001426739442021", "0.50001426739442021"),
+                                  ("0.99997146602537052", "0.99997146602537052")]),
+    (6, 1): (0.4142198574295364, [("0.49999777437135809", "0.49999777437135809"),
+                                  ("1.0000044512770976", "1.0000044512770976")]),
+    (3, 3): (0.4142079336792078, [("0.50000199005172903", "0.50000199005172903"),
+                                  ("0.9999960199123831", "0.9999960199123831")]),
+    (0, 5): (0.41421159288231973, [("0.50000069632111107", "0.50000069632111107"),
+                                   ("0.9999986073597173", "0.9999986073597173")]),
+}
 
 
 def zeta_of(W, q=2):
@@ -53,6 +77,44 @@ def from_pairs(c, q, m, ws):
     for w in ws:
         P = P * UniPoly([1, -q * w, q])
     return P
+
+
+def matched_multisets(a, b, tolerance):
+    """Whether the roots a and b pair off one to one, each pair within
+    tolerance relative to max(1, |z|)."""
+    b = list(b)
+    if len(a) != len(b):
+        return False
+    for z in a:
+        match = min(range(len(b)), key=lambda i: abs(b[i] - z))
+        if abs(b.pop(match) - z) > tolerance * max(1, abs(z)):
+            return False
+    return True
+
+
+_root_values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def real_polynomials(draw):
+    """Ascending coefficients of c T^z prod (T - r_i) prod (T^2 + b_j T + e_j)
+    of degree 1..19: up to two roots at 0, one to eight distinct nonzero
+    real r_i with sometimes the first one twice, and distinct quadratics
+    with complex roots, so that no root is triple."""
+    zeros = draw(st.integers(0, 2))
+    reals = draw(st.lists(_root_values.filter(bool), min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        reals.append(reals[0])
+    pairs = draw(st.lists(st.tuples(_root_values, _root_values.map(lambda e: e * e + 1)),
+                          max_size=4, unique=True))
+    lead = draw(st.fractions(min_value=1, max_value=5, max_denominator=7))
+    P = UniPoly([0] * zeros + [lead * draw(st.sampled_from((1, -1)))])
+    for r in reals:
+        P = P * UniPoly([-r, 1])
+    for b, e in pairs:
+        if b * b < 4 * e:
+            P = P * UniPoly([e, b, 1])
+    return list(P.coeffs)
 
 
 class TestFindRoots:
@@ -94,6 +156,39 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(UniPoly([1, 1]), precision_bits=16)
 
+    @settings(max_examples=40, deadline=None)
+    @given(real_polynomials())
+    @example([F(10) ** 400 * c for c in (-6, 11, -6, 1)])     # (T-1)(T-2)(T-3)
+    def test_double_start_matches_circle_start(self, coeffs):
+        # the double-precision stage only moves where the multiprecision
+        # iteration starts, so both starts must find the same roots
+        P = UniPoly(coeffs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_aberth_double", lambda c, deg: None)
+            circle = find_roots(P)
+        assert matched_multisets(find_roots(P).roots, circle.roots, 1e-30)
+
+    def test_double_start_beyond_double_range(self):
+        # one power of two brings 10^400-scaled coefficients into range; a
+        # coefficient that still underflows, or a root beyond double range,
+        # leaves the start to the circle
+        with mp.workprec(288):
+            huge = [mp.mpf(10) ** 400 * c for c in (-6, 11, -6, 1)]
+            assert analysis._aberth_double(huge, 3) is not None
+            spread = [mp.mpf(1), mp.mpf(10) ** -400, mp.mpf(1)]
+            assert analysis._aberth_double(spread, 2) is None
+            assert analysis._aberth_double([mp.mpf(1), mp.ldexp(1, -1070)], 1) is None
+        rs = find_roots(UniPoly([1, F(1, 10 ** 400), 1]))
+        assert matched_multisets(rs.roots, [mp.mpc(0, 1), mp.mpc(0, -1)], 1e-30)
+        rs = find_roots(UniPoly([1, F(1, 2 ** 1070)]))
+        assert matched_multisets(rs.roots, [mp.mpc(-2 ** 1070)], 1e-30)
+
+    def test_triple_root_at_one(self):
+        # (T - 1)^3 stalls from the circle but converges from the double
+        # start, to within the 2^-(bits/3) that a triple root allows
+        rs = find_roots(UniPoly([-1, 3, -3, 1]))
+        assert all(abs(z - 1) < 1e-25 for z in rs.roots)
+
 
 class TestCheckRh:
     def test_w12_holds(self):
@@ -132,6 +227,20 @@ class TestCheckRh:
             for z in rep.offending_roots:
                 match = min(range(len(reference)), key=lambda i: abs(reference[i] - z))
                 assert abs(reference.pop(match) - z) < 1e-30, (s, k)
+
+    def test_rh_false_products_keep_their_reports(self):
+        # the start of Aberth moves the iteration count, the residual bounds
+        # and the rounding noise in the imaginary parts, and nothing else
+        assert list(RH_FALSE_REPORTS) == RH_FALSE_PRODUCTS
+        for (s, k), (deviation, roots) in RH_FALSE_REPORTS.items():
+            rep = check_rh(zeta_of(W8 ** s * W12 ** k))
+            assert not rep.holds, (s, k)
+            assert len(rep.offending_roots) == len(roots), (s, k)
+            assert rep.max_relative_deviation == deviation, (s, k)
+            with mp.workprec(288):
+                found = sorted(rep.offending_roots, key=lambda z: z.real)
+                assert [(mp.nstr(z.real, 17), mp.nstr(abs(z), 17))
+                        for z in found] == roots, (s, k)
 
     def test_rejects_low_precision_on_either_path(self):
         # the exact path computes no roots, yet must validate like the numeric one
@@ -293,11 +402,23 @@ class TestSelfReciprocalReduction:
         assert report.holds == full_degree_verdict(reference, q)
 
     def test_triple_fixed_roots_decided(self):
-        # today's full-degree Aberth cannot converge on this P; the reduction
-        # divides (2T^2 - 1)^3 out exactly and certifies the rest
+        # full-degree Aberth on this P may stall on the triple roots, and
+        # when it does converge its roots must be the known ones; the
+        # reduction divides (2T^2 - 1)^3 out exactly and certifies the rest
         P = from_pairs(F(1), 2, 3, [F(1, 3), F(-1, 2)])
-        with pytest.raises(RootFindingError):
-            find_roots(P)
+        try:
+            found = find_roots(P).roots
+        except RootFindingError:
+            found = None
+        if found is not None:
+            with mp.workprec(300):
+                fixed = 1 / mp.sqrt(2)
+                known = [fixed, -fixed] * 3
+                for w in (mp.mpf(1) / 3, mp.mpf(-1) / 2):
+                    # the roots of 2T^2 - 2wT + 1
+                    root = mp.sqrt(mp.mpc(w * w - 2))
+                    known += [(w + root) / 2, (w - root) / 2]
+                assert matched_multisets(found, known, 1e-25)
         report = check_rh(zeta_with(P, 2))
         assert report.holds and report.certificate == "exact"
 

@@ -400,7 +400,7 @@ class TestTranscriptDigest:
             record = [[a.replace(tmp, "<tmp>") for a in argv], code,
                       out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
             digest.update(json.dumps(record).encode())
-        assert digest.hexdigest() == "90773501c76fc9f3829531874a438f856ccd753249d220e05830dcda67ee8b4a"
+        assert digest.hexdigest() == "f78a7dbb00fdae19942cd899f57f45d6448051c550013d01963e8d0fd9b37024"
 
 
 class _ClosedStdout(io.TextIOBase):

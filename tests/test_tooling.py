@@ -1,7 +1,8 @@
 """Guards on what the package loads, what the exact RH certificate runs
 on, what the headline command and the extremal builder may call, the
-functions the benchmark traces, and where the command line front end may
-print to stdout."""
+functions the benchmark traces, where the command line front end may
+print to stdout, and how many multiprecision Aberth sweeps the RH-false
+products may take."""
 import ast
 import importlib.util
 import os
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 from fwezeta import algebra, analysis, cli, fwe, zeta
+from fwezeta.fwe import W8, W12
 from fwezeta.files import write_enumerator_file
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -102,3 +104,24 @@ def test_only_main_prints_to_stdout():
     assert stdout_prints
     for node in stdout_prints:
         assert id(node) in in_main, f"print to stdout at cli.py line {node.lineno}"
+
+
+# the W8^s W12^k up to degree 108 whose RH fails
+RH_FALSE_PRODUCTS = [(3, 1), (0, 3), (4, 1), (1, 3), (5, 1), (2, 3),
+                     (6, 1), (3, 3), (0, 5)]
+
+
+def _zeta(s, k):
+    return zeta.compute_zeta(zeta.EnumeratorContext(W8 ** s * W12 ** k, 2))
+
+
+def test_rh_on_w12_cubed_polishes_a_double_start():
+    # Aberth starts from a double-precision solve, so the 256-bit loop on
+    # the degree-14 R of W12^3 only polishes: 10 sweeps from the circle
+    assert analysis.check_rh(_zeta(0, 3)).root_set.iterations <= 4
+
+
+def test_full_degree_roots_of_rh_false_products_polish_a_double_start():
+    # on all of P the circle start took 131-143 sweeps at 256 bits
+    for s, k in RH_FALSE_PRODUCTS:
+        assert analysis.find_roots(_zeta(s, k).P).iterations <= 25, (s, k)
