@@ -368,27 +368,22 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
 
 
 def verify_root_pairing(Z: ZetaPolynomial) -> bool:
-    """Exact check that the roots of P off +-1/sqrt(q) split into pairs
-    (alpha, 1/(q*alpha)), with multiplicity.
+    """Exact check that the roots of P split into pairs
+    (alpha, 1/(q*alpha)), with multiplicity; +-1/sqrt(q) are the fixed
+    points of that map.  Requires the functional equation with sign -1,
+    the case of formal weight enumerators, and raises ValueError without it.
 
-    Expands (qT^2 - 1)^m T^k R(T + 1/(qT)) from self_reciprocal_reduction
-    by a second route, T^k w^i = T^(k-i) (T^2 + 1/q)^i, and compares it
-    with P over Q.  In that product +-1/sqrt(q) are the fixed points of
-    alpha -> 1/(q*alpha), and each root w_i of R contributes the factor
-    qT^2 - q w_i T + 1, whose two roots the map swaps; so equality is the
-    pairing.  Requires the functional equation with sign -1, the case of
-    formal weight enumerators.
+    The functional equation that functional_equation_sign verified exactly
+    over Q is the pairing:
+    - with deg P = 2g, q^g T^(2g) P(1/(qT)) has the root 1/(q*alpha) with
+      the multiplicity that alpha has in P, and it equals -P;
+    - P(0) != 0, because a_0 = +-q^(-g) a_(2g), so every root alpha of P
+      is nonzero and 1/(q*alpha) is defined.
+    So once the sign is -1 the answer is True.
     """
     if functional_equation_sign(Z) != -1:
         raise ValueError("root pairing applies to sign -1 zeta polynomials")
-    q = Z.context.q
-    m, R = self_reciprocal_reduction(Z.P, q)
-    k = R.degree
-    lift = UniPoly([Fraction(1, q), 0, 1])          # T^2 + 1/q = T * w
-    expanded = UniPoly([R.coefficient(k)])
-    for i in range(k - 1, -1, -1):
-        expanded = expanded * lift + UniPoly([0] * (k - i) + [R.coefficient(i)])
-    return UniPoly([-1, 0, q]) ** m * expanded == Z.P
+    return True
 
 
 def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
@@ -457,14 +452,14 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
         ("x^4+y^4", _X4_PLUS_Y4),
         ("x^4+6x^2y^2+y^4", _X4_6X2Y2_Y4),
     ]
-    checks = []
-    product = HomogeneousPoly(0, [1])
-    for name, poly in named:
-        checks.append(FactorCheck(name, poly.degree,
-                                  exact_divide(derivative, poly) is not None))
-        product = product * poly
+    product = math.prod((poly for _, poly in named), start=HomogeneousPoly(0, [1]))
     quotient = exact_divide(derivative, product)
-    return DivisibilityReport(derivative, tuple(checks), quotient)
+    # each factor divides the product, so it is divided alone only when
+    # the product does not divide
+    checks = tuple(FactorCheck(name, poly.degree, quotient is not None
+                               or exact_divide(derivative, poly) is not None)
+                   for name, poly in named)
+    return DivisibilityReport(derivative, checks, quotient)
 
 
 def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import analysis
-from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator
+from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
+                             exact_divide)
 from fwezeta.analysis import (RootFindingError, check_divisibility,
                               check_operator_substitution, check_rh,
                               chebyshev_grid, derivative_closed_form,
@@ -270,6 +271,23 @@ class TestCheckRh:
             check_rh(zeta_of(W8 ** 3 * W12), tolerance)
 
 
+_ws = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def moved_sign_minus_one(draw):
+    """(q, P, moved): P = c (qT^2 - 1) prod (qT^2 - q w_i T + 1) of sign -1
+    with up to three distinct w_i off the boundary q w^2 = 4, so that every
+    root is simple, and moved = P with one coefficient below the top moved."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    ws = draw(st.lists(_ws.filter(lambda w: q * w * w != 4), max_size=3, unique=True))
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    P = from_pairs(c, q, 1, ws)
+    i = draw(st.integers(0, P.degree - 1))
+    delta = draw(st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool))
+    return q, P, P + UniPoly([0] * i + [delta])
+
+
 def pairing_of(Z):
     return verify_root_pairing(Z)
 
@@ -281,20 +299,24 @@ class TestRootPairing:
     def test_holds_even_when_rh_fails(self):
         assert pairing_of(zeta_of(W8 ** 3 * W12))
 
-    def test_detects_wrong_reduction(self, monkeypatch):
-        # the check re-expands the reduction, so a wrong R cannot pass
-        def off_by_one(P, q):
-            m, R = self_reciprocal_reduction(P, q)
-            return m, R + UniPoly([1])
-        monkeypatch.setattr(analysis, "self_reciprocal_reduction", off_by_one)
-        assert not pairing_of(zeta_of(W12))
-
     def test_requires_sign_minus_one(self):
         with pytest.raises(ValueError):
             pairing_of(zeta_of(W8))
 
-
-_ws = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    @settings(max_examples=25, deadline=None)
+    @given(moved_sign_minus_one())
+    def test_functional_equation_is_the_pairing(self, case):
+        # the lemma behind verify_root_pairing: the roots of a sign -1 P
+        # are closed under z -> 1/(qz), and moving one coefficient below
+        # the top one breaks the sign -1 equation, so the check raises
+        q, P, moved = case
+        roots = find_roots(P).roots
+        with mp.workprec(300):
+            images = [1 / (q * z) for z in roots]
+        assert matched_multisets(roots, images, 1e-25)
+        assert pairing_of(zeta_with(P, q))
+        with pytest.raises(ValueError):
+            pairing_of(zeta_with(moved, q))
 
 
 @st.composite
@@ -329,6 +351,18 @@ def two_pass_reduction(P, q):
     return m, R
 
 
+def re_expand(m, R, q):
+    """The reference inverse of self_reciprocal_reduction:
+    (qT^2 - 1)^m T^k R(T + 1/(qT)) with k = deg R, expanded over Q by
+    Horner in w through T^k w^i = T^(k-i) (T^2 + 1/q)^i."""
+    k = R.degree
+    lift = UniPoly([F(1, q), 0, 1])          # T^2 + 1/q = T * w
+    expanded = UniPoly([R.coefficient(k)])
+    for i in range(k - 1, -1, -1):
+        expanded = expanded * lift + UniPoly([0] * (k - i) + [R.coefficient(i)])
+    return UniPoly([-1, 0, q]) ** m * expanded
+
+
 def reduction_outcome(reduce, P, q):
     """reduce(P, q), or ValueError when it raises one."""
     try:
@@ -341,12 +375,13 @@ _coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
 @st.composite
-def reduction_inputs(draw):
+def reduction_inputs(draw, kinds=("exact", "exact", "perturbed", "random")):
     """(q, P): P = (qT^2 - 1)^m T^k R(T + 1/(qT)) for m <= 3, deg R <= 8,
     expanded through T^k w^i = T^(k-i) (T^2 + 1/q)^i; sometimes with one
-    coefficient moved, sometimes a plain random P instead."""
+    coefficient moved, sometimes a plain random P instead, as drawn from
+    kinds."""
     q = draw(st.sampled_from((2, 3, 4, 5, 7)))
-    kind = draw(st.sampled_from(("exact", "exact", "perturbed", "random")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         return q, UniPoly(draw(st.lists(_coefficients, min_size=1, max_size=20)))
     m = draw(st.integers(0, 3))
@@ -380,6 +415,21 @@ class TestSelfReciprocalReduction:
         for P in Ps:
             assert (reduction_outcome(self_reciprocal_reduction, P, 2)
                     == reduction_outcome(two_pass_reduction, P, 2))
+
+    # verify_root_pairing reads the pairing off the functional equation,
+    # so it no longer re-expands the reduction; this reference does
+    @settings(max_examples=100, deadline=None)
+    @given(reduction_inputs(kinds=("exact",)))
+    def test_re_expands_to_p(self, case):
+        q, P = case
+        assert re_expand(*self_reciprocal_reduction(P, q), q) == P
+
+    def test_re_expands_to_p_on_enumerators(self, all_zetas):
+        Ps = [Z.P for Z in all_zetas.values()]
+        Ps += [zeta_of(W8 ** s * W12 ** t).P
+               for s in range(4) for t in range(4) if s or t]
+        for P in Ps:
+            assert re_expand(*self_reciprocal_reduction(P, 2), 2) == P
 
     @settings(max_examples=25, deadline=None)
     @given(paired_polynomials())
@@ -533,6 +583,28 @@ class TestDivisibility:
         assert rep.ok
         assert sum(f.degree for f in rep.factors) == 50
         assert rep.derivative.degree == 54
+
+    # x^30, and x^22 (x^4+y^4)(x^4+6x^2y^2+y^4), which the last two
+    # factors divide but (xy)^3 and (x^4-y^4)^3 do not
+    @pytest.mark.parametrize("extra", [
+        HomogeneousPoly.from_sparse(30, {0: 1}),
+        HomogeneousPoly.from_sparse(22, {0: 1}) * HomogeneousPoly(4, [1, 0, 0, 0, 1])
+        * HomogeneousPoly(4, [1, 0, 6, 0, 1]),
+    ])
+    def test_failing_product_divides_each_factor(self, monkeypatch, extra):
+        # with the full product failing, each factor's verdict is its own
+        # exact division
+        monkeypatch.setattr(analysis, "apply_diff_operator",
+                            lambda op, W: apply_diff_operator(op, W) + extra)
+        rep = check_divisibility(build_extremal(36).expanded)
+        assert not rep.ok and rep.quotient is None
+        factors = [HomogeneousPoly(2, [0, 1, 0]) ** 3,
+                   HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** 3,
+                   HomogeneousPoly(4, [1, 0, 0, 0, 1]),
+                   HomogeneousPoly(4, [1, 0, 6, 0, 1])]
+        assert [f.degree for f in rep.factors] == [poly.degree for poly in factors]
+        assert [f.divides for f in rep.factors] == [
+            exact_divide(rep.derivative, poly) is not None for poly in factors]
 
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):

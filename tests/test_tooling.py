@@ -1,8 +1,9 @@
 """Guards on what the package loads, what the exact RH certificate runs
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
-print to stdout, and how many multiprecision Aberth sweeps the RH-false
-products may take."""
+print to stdout, how many multiprecision Aberth sweeps the RH-false
+products may take, and how often the headline command reduces P and
+divides the derivative."""
 import ast
 import importlib.util
 import os
@@ -125,3 +126,24 @@ def test_full_degree_roots_of_rh_false_products_polish_a_double_start():
     # on all of P the circle start took 131-143 sweeps at 256 bits
     for s, k in RH_FALSE_PRODUCTS:
         assert analysis.find_roots(_zeta(s, k).P).iterations <= 25, (s, k)
+
+
+def test_verify_all_reduces_and_divides_once_per_degree(monkeypatch):
+    # root pairing is read off the functional equation, so check_rh runs
+    # the only reduction of each of the 7 degrees; divisibility (d >= 8:
+    # n = 36..60) divides by the full product and, as it divides, by no
+    # factor alone
+    calls = {"self_reciprocal_reduction": 0, "exact_divide": 0}
+
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counted(name))
+    assert cli.main(["verify-all", "--max-degree", "60"]) == 0
+    assert calls == {"self_reciprocal_reduction": 7, "exact_divide": 4}
