@@ -20,7 +20,7 @@ from typing import Optional
 import mpmath as mp
 
 from .algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
-                      apply_diff_operator, exact_divide, substitute_linear)
+                      apply_diff_operator, substitute_linear)
 from .fwe import extremal_min_index, is_formal_weight_enumerator
 from .zeta import ZetaPolynomial, functional_equation_sign, min_weight_index
 
@@ -54,10 +54,14 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
     The rational coefficients are converted at the working precision.
     The points start from the same iteration run in double precision
     (_aberth_double), or from a circle when double precision cannot hold
-    P, and are polished until the largest update drops below
-    2^(-precision_bits/2); hitting the iteration cap first raises
-    RootFindingError rather than returning unconverged values.  The
-    iteration count is that of the polishing sweeps.
+    P, and are polished until every step is below 2^(-precision_bits/2)
+    times the modulus of its point (below 2^(-precision_bits/2) itself at
+    a point that is exactly 0).  The test is relative because rounding
+    alone moves a root z by about |z| 2^(-precision_bits); an absolute
+    test could never stop on a root of modulus 1e337.  Hitting the
+    iteration cap first raises RootFindingError rather than returning
+    unconverged values.  The iteration count is that of the polishing
+    sweeps.
     """
     if P.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -77,13 +81,13 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
             tol = mp.mpf(2) ** (-(precision_bits // 2))
             dc = [c[i] * i for i in range(1, deg + 1)]
             for iterations in range(1, MAX_ITERATIONS + 1):
-                biggest = max(map(abs, _aberth_sweep(c, dc, z)))
-                if biggest < tol:
+                steps = _aberth_sweep(c, dc, z)
+                if all(abs(step) < tol * (abs(zk) or 1) for step, zk in zip(steps, z)):
                     break
             else:
                 raise RootFindingError(
                     f"no convergence after {MAX_ITERATIONS} iterations "
-                    f"(last update {mp.nstr(biggest, 5)})")
+                    f"(last update {mp.nstr(max(map(abs, steps)), 5)})")
             roots += z
             residuals += [_residual_bound(c, zk) for zk in z]
         return RootSet(tuple(roots), tuple(residuals), iterations)
@@ -195,17 +199,48 @@ class RhReport:
         return "exact" if self.root_set is None else "numeric"
 
 
-def _divide_out_quadratic(P: UniPoly, q: int) -> tuple:
-    """(m, Q) with P = (qT^2 - 1)^m * Q and m maximal, for nonzero P."""
-    if P.is_zero():
+def _divide_out_quadratic(p: list, q: int) -> tuple:
+    """(m, b) with p = (qT^2 - 1)^m * b and m maximal, for the ascending
+    integer coefficients p of a nonzero polynomial; b is on integers too.
+
+    The divisor has constant term -1, a unit, so the quotient c of
+    p = (qT^2 - 1) c comes from the bottom, c_k = q c_(k-2) - p_k, and
+    stays in ints.  Those c_0..c_(D-2), D = deg p, account for p_0..p_(D-2)
+    whatever p is; they are the quotient exactly when the top two
+    coefficients agree as well, p_(D-1) = q c_(D-3) and p_D = q c_(D-2).
+    The first pass whose top coefficients disagree leaves a remainder and
+    ends the count.
+    """
+    if not any(p):
         raise ValueError("the zero polynomial has no such factorisation")
-    quadratic = UniPoly([-1, 0, q])
     m = 0
-    while True:
-        quot, rem = divmod(P, quadratic)
-        if not rem.is_zero():
-            return m, P
-        P, m = quot, m + 1
+    while len(p) > 2:
+        c = [0, 0]                  # c[k + 2] = c_k, behind c_(-2) = c_(-1) = 0
+        for pk in p[:-2]:
+            c.append(q * c[-2] - pk)
+        if p[-2] != q * c[-2] or p[-1] != q * c[-1]:
+            break
+        p, m = c[2:], m + 1
+    return m, p
+
+
+# The last polynomial _factorisation saw, with its answer.  verify-all asks
+# for the factorisation of each P twice, in exact_sqrt2_multiplicities and
+# in check_rh's reduction; polynomials are immutable and the entry holds
+# its P, so a match by identity is always current.
+_last_factorisation = (None, 0, None)
+
+
+def _factorisation(P: UniPoly, q: int) -> tuple:
+    """(den, m, b): P scaled to the integers p = den P, and
+    _divide_out_quadratic(p, q) = (m, b)."""
+    global _last_factorisation
+    last, last_q, answer = _last_factorisation
+    if last is not P or last_q != q:
+        den, p = _scaled_to_integers(P.coeffs)
+        answer = (den, *_divide_out_quadratic(p, q))
+        _last_factorisation = (P, q, answer)
+    return answer
 
 
 def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
@@ -222,18 +257,29 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
     reads r_j off the top remaining coefficient of Q and subtracts its
     term; a nonzero residual means P has no functional equation, and
     raises ValueError.
+
+    The pass runs on integers.  With Q = b / den (b from
+    _divide_out_quadratic) let B = q^k b; term j, scaled alike, is
+    (R_j / q^j) T^(k-j) (qT^2 + 1)^j with R_j = q^k den r_j, the top
+    remaining entry B_(k+j), so it subtracts (R_j / q^j) C(j, i) q^i at
+    T^(k-j+2i).  R_j / q^j is an int: B_(k+j) starts as a multiple of
+    q^k, and term j' > j changes it only through i = (j + j')/2 > j, by
+    a multiple of q^i.  Then r_j = R_j / (q^k den).
     """
-    m, Q = _divide_out_quadratic(P, q)
-    k, b = Q.degree // 2, list(Q.coeffs)
-    r = [Fraction(0)] * (k + 1)
+    den, m, b = _factorisation(P, q)
+    k = (len(b) - 1) // 2
+    B = [c * q ** k for c in b]
+    R = [0] * (k + 1)
     for j in range(k, -1, -1):
-        r[j] = rj = b[k + j]
-        # r_j T^(k-j) (T^2 + 1/q)^j puts r_j C(j, i) q^(i-j) at T^(k-j+2i)
+        R[j] = B[k + j]
+        term = R[j] // q ** j           # (R_j / q^j) C(j, i) q^i at i = 0
         for i in range(j + 1):
-            b[k - j + 2 * i] -= rj * Fraction(math.comb(j, i), q ** (j - i))
-    if any(b):
+            B[k - j + 2 * i] -= term
+            term = term * (j - i) * q // (i + 1)
+    if any(B):
         raise ValueError("P has no functional equation under T -> 1/(qT)")
-    return m, UniPoly(r)
+    scale = den * q ** k
+    return m, UniPoly(Fraction(c, scale) for c in R)
 
 
 # The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
@@ -352,7 +398,7 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
         raise ValueError("q is too large for a floating-point modulus") from None
     if Z.P.degree < 1:
         return RhReport(True, target, 0.0, (), None)
-    if functional_equation_sign(Z) is not None:
+    if Z._sign is not None:             # functional_equation_sign, kept with Z
         m, R = self_reciprocal_reduction(Z.P, q)
         if _certify_on_circle(R, q):
             return RhReport(True, target, 0.0, (), None)
@@ -390,13 +436,15 @@ def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
     """Exact multiplicities of the roots +1/sqrt(2) and -1/sqrt(2).
 
     For rational P the two roots are Galois conjugates, so both have the
-    multiplicity m of 2T^2 - 1, divided out by _divide_out_quadratic.
-    Everything stays in Q: parity statements must never depend on a
-    numeric tolerance.  The zero polynomial gives (0, 0).
+    multiplicity m of 2T^2 - 1.  m comes from _divide_out_quadratic, on
+    P scaled to integers, through the same _factorisation that
+    check_rh's reduction reads, so verify-all divides once per degree.
+    Nothing is rounded: parity statements must never depend on a numeric
+    tolerance.  The zero polynomial gives (0, 0).
     """
     if P.is_zero():
         return (0, 0)
-    m = _divide_out_quadratic(P, 2)[0]
+    m = _factorisation(P, 2)[1]
     return (m, m)
 
 
@@ -422,11 +470,45 @@ class DivisibilityReport:
         return self.quotient is not None and all(f.divides for f in self.factors)
 
 
-_XY = HomogeneousPoly(2, [0, 1, 0])
-_X4_MINUS_Y4 = HomogeneousPoly(4, [1, 0, 0, 0, -1])
-_X4_PLUS_Y4 = HomogeneousPoly(4, [1, 0, 0, 0, 1])
-_X4_6X2Y2_Y4 = HomogeneousPoly(4, [1, 0, 6, 0, 1])
-_DIFF_OP = _XY * _X4_MINUS_Y4               # x^5 y - x y^5
+_DIFF_OP = HomogeneousPoly(6, [0, 1, 0, 0, 0, -1, 0])      # x^5 y - x y^5
+# x^4 - y^4, x^4 + y^4 and x^4 + 6x^2y^2 + y^4 at x = 1, ascending in t = y/x
+_ONE_MINUS_T4 = (1, 0, 0, 0, -1)
+_ONE_PLUS_T4 = (1, 0, 0, 0, 1)
+_ONE_6T2_T4 = (1, 0, 6, 0, 1)
+
+
+def _quotient_in_t(a: list, room: int, shift: int, divisors) -> Optional[list]:
+    """The exact quotient, as room + 1 ascending ints, of the integer
+    coefficients a of a homogeneous A(1, t) by t^shift times the product
+    of divisors (each ascending in t with constant term 1), or None when
+    that does not divide A.  room is deg A minus the homogeneous degree
+    of the divisor: the power of x left for the quotient.
+
+    t^shift divides when the lowest shift coefficients are zero, and
+    dividing by it is a shift.  A divisor b with b_0 = 1 divides from the
+    bottom by synthetic division, c_i = a_i - sum_(j>=1) b_j c_(i-j), in
+    place and on ints; the entries past the quotient's length then hold
+    the remainder (the first nonzero one is computed exactly, as all
+    entries below it are), so it divides when they are all zero.  As in
+    exact_divide, the quotient must also fit the room: its t-degree at
+    most room, or x would not divide.
+    """
+    if room < 0 or any(a[:shift]):
+        return None
+    c = a[shift:]
+    for b in divisors:
+        top = len(b) - 1
+        terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
+        for i in range(len(c)):
+            for j, bj in terms:
+                if i >= j:
+                    c[i] -= bj * c[i - j]
+        if any(c[max(len(c) - top, 0):]):
+            return None
+        del c[max(len(c) - top, 0):]
+    if any(c[room + 1:]):
+        return None
+    return c[:room + 1] + [0] * (room + 1 - len(c))
 
 
 def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
@@ -437,6 +519,13 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     6(d-5)+8 then fits under the derivative degree n-6, and for extremal
     enumerators the two are closest, which is exactly what turns this
     divisibility into the minimum-index bound.
+
+    The division runs on integers in t = y/x (_quotient_in_t): the
+    derivative scaled by one common denominator, (xy)^(d-5) as the test
+    that its lowest d-5 coefficients vanish and a shift, then synthetic
+    division by 1 - t^4 (d-5 times), 1 + t^4 and 1 + 6t^2 + t^4, and the
+    test that the quotient fits its degree.  Each factor is divided alone
+    only when the full product does not divide.
     """
     check = is_formal_weight_enumerator(W)
     if not check.ok:
@@ -446,20 +535,28 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     if d < 8:
         raise ValueError(f"divisibility check needs d >= 8, got d = {d}")
     derivative = apply_diff_operator(_DIFF_OP, W)
+    den, a = _scaled_to_integers(derivative.coeffs)
+    e = d - 5
+    # (name, homogeneous degree, power of t, divisors in t)
     named = [
-        (f"(xy)^{d - 5}", _XY ** (d - 5)),
-        (f"(x^4-y^4)^{d - 5}", _X4_MINUS_Y4 ** (d - 5)),
-        ("x^4+y^4", _X4_PLUS_Y4),
-        ("x^4+6x^2y^2+y^4", _X4_6X2Y2_Y4),
+        (f"(xy)^{e}", 2 * e, e, ()),
+        (f"(x^4-y^4)^{e}", 4 * e, 0, (_ONE_MINUS_T4,) * e),
+        ("x^4+y^4", 4, 0, (_ONE_PLUS_T4,)),
+        ("x^4+6x^2y^2+y^4", 4, 0, (_ONE_6T2_T4,)),
     ]
-    product = math.prod((poly for _, poly in named), start=HomogeneousPoly(0, [1]))
-    quotient = exact_divide(derivative, product)
+
+    def quotient(degree, shift, divisors):
+        return _quotient_in_t(a, derivative.degree - degree, shift, divisors)
+
+    full = quotient(sum(f[1] for f in named), e, sum((f[3] for f in named), ()))
     # each factor divides the product, so it is divided alone only when
     # the product does not divide
-    checks = tuple(FactorCheck(name, poly.degree, quotient is not None
-                               or exact_divide(derivative, poly) is not None)
-                   for name, poly in named)
-    return DivisibilityReport(derivative, checks, quotient)
+    checks = tuple(FactorCheck(name, degree, full is not None
+                               or quotient(degree, shift, divisors) is not None)
+                   for name, degree, shift, divisors in named)
+    if full is not None:
+        full = HomogeneousPoly(len(full) - 1, [Fraction(c, den) for c in full])
+    return DivisibilityReport(derivative, checks, full)
 
 
 def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,

@@ -70,6 +70,19 @@ class ZetaPolynomial:
         ctx = self.context
         return None if ctx.n % 2 else genus(ctx.n, ctx.d)
 
+    @functools.cached_property
+    def _sign(self) -> Optional[int]:
+        """functional_equation_sign, found once per zeta polynomial."""
+        g = self.g
+        if g is None or self.P.degree != 2 * g:
+            return None
+        q, p = self.context.q, _scaled_to_integers(self.P.coeffs)[1]
+        qg = q ** g
+        for eps in (1, -1):
+            if all(q ** i * p[2 * g - i] == eps * qg * p[i] for i in range(g + 1)):
+                return eps
+        return None
+
 
 def compute_zeta(ctx: EnumeratorContext) -> ZetaPolynomial:
     """P(T) in closed form from the binomial moments of W, on integers.
@@ -158,10 +171,17 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
     where b_i(t) is the T^i coefficient of (1 + (t-1)T)^n/((1-T)(1-qT)):
     with a_j = C(n, j)(t-1)^j, the prefix sums of a give the factor
     1/(1-T), and b_i = (a_0 + ... + a_i) + q b_(i-1) the factor 1/(1-qT).
-    Both sides have degree at most n in t, so equality at t = 0..n,
-    cross-multiplied by the common denominators of P and W, is the
-    identity itself.  Nothing here comes from :func:`compute_zeta`'s
-    binomial moments, so the check stays independent of it.
+    Exchanging the sums folds P against the series once, for all t:
+
+        sum_i P_(n-d-i) b_i(t) = sum_j C(n, j) h_j (t-1)^j,
+
+    with g_l = P_(n-d-l) + q g_(l+1) (so g_l = sum_(i>=l) P_(n-d-i) q^(i-l))
+    and h_j = g_j + h_(j+1), from g_(n-d+1) = h_(n-d+1) = 0.  Each point
+    then costs one Horner pass in t - 1 and one through W.  Both sides
+    have degree at most n in t, so equality at t = 0..n, cross-multiplied
+    by the common denominators of P and W, is the identity itself.
+    Nothing here comes from :func:`compute_zeta`'s binomial moments of W,
+    so the check stays independent of it.
 
     Uniqueness: the defining system, as :func:`zeta_oracle` assembles it,
     has A[m][k] = 0 for k + m > n - d and A[m][n-d-m] = C(n, m) != 0.  It
@@ -174,17 +194,19 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
         return False
     p_den, p = _scaled_to_integers(P.coeffs)
     w_den, w = _scaled_to_integers(ctx.W.coeffs)
-    # p_rev[i] = p_den P_(n-d-i) pairs with b_i; w[i] is the x^(n-i) y^i
+    # p_rev[l] = p_den P_(n-d-l) pairs with b_l; w[i] is the x^(n-i) y^i
     # coefficient of w_den W
     p_rev = [0] * (nd + 1 - len(p)) + p[::-1]
-    binomials = [math.comb(n, j) for j in range(nd + 1)]
+    folded = [0] * (nd + 1)             # C(n, j) h_j, scaled by p_den
+    g = h = 0
+    for j in range(nd, -1, -1):
+        g = p_rev[j] + q * g
+        h += g
+        folded[j] = math.comb(n, j) * h
     for t in range(n + 1):
-        power, prefix, b, lhs = 1, 0, 0, 0
-        for i in range(nd + 1):
-            prefix += binomials[i] * power
-            power *= t - 1
-            b = prefix + q * b
-            lhs += p_rev[i] * b
+        lhs = 0
+        for c in reversed(folded):
+            lhs = lhs * (t - 1) + c
         w_at_t = 0
         for c in w:
             w_at_t = w_at_t * t + c
@@ -248,13 +270,13 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
 def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:
     """+1 or -1 when P satisfies a_i <-> eps * q^(g-i) * a_(2g-i) with
     deg P = 2g; None when no such symmetry holds, and for odd n, which
-    has no genus."""
-    g = Z.g
-    if g is None or Z.P.degree != 2 * g:
-        return None
-    qf = Fraction(Z.context.q)
-    for eps in (1, -1):
-        if all(Z.P.coefficient(2 * g - i) == eps * qf ** (g - i) * Z.P.coefficient(i)
-               for i in range(2 * g + 1)):
-            return eps
-    return None
+    has no genus.
+
+    Decided on integers, in one pass over P scaled by one common
+    denominator: a_(2g-i) = eps q^(g-i) a_i times q^i is
+    q^i p_(2g-i) = eps q^g p_i.  The test at i and at 2g - i is the same
+    one, so i runs to g only; at i = 0 only one eps can hold, since
+    p_(2g) != 0.  The answer is kept with Z, so that the sign check of
+    verify-all, its pairing check and check_rh share this one pass.
+    """
+    return Z._sign

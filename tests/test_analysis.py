@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import analysis
-from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator,
-                             exact_divide)
+from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
+                             apply_diff_operator, exact_divide)
 from fwezeta.analysis import (RootFindingError, check_divisibility,
                               check_operator_substitution, check_rh,
                               chebyshev_grid, derivative_closed_form,
@@ -184,6 +184,27 @@ class TestFindRoots:
         rs = find_roots(UniPoly([1, F(1, 2 ** 1070)]))
         assert matched_multisets(rs.roots, [mp.mpc(-2 ** 1070)], 1e-30)
 
+    def test_relative_stop_on_roots_of_any_size(self):
+        # roots +-1e-91, three of modulus 2.3e-30 and one near 8.9e336:
+        # rounding alone moves the largest by about 1e250, so a step test
+        # not relative to the root's modulus never stopped
+        coeffs = ["-1e-84", "-9e-316", "1e98", "4e53", "3e34", "-8e186", "9e-151"]
+        rs = find_roots(UniPoly([F(c) for c in coeffs]))
+        with mp.workprec(300):
+            c = [mp.mpf(x) for x in coeffs]
+            # each root from the two terms that dominate near it; the
+            # others change it by less than 1e-70 relatively
+            tiny = mp.sqrt(-c[0] / c[2])
+            cube = mp.cbrt(-c[2] / c[5])
+            expected = ([tiny, -tiny, -c[5] / c[6]]
+                        + [cube * mp.expj(2 * mp.pi * k / 3) for k in range(3)])
+            assert len(rs.roots) == len(expected)
+            for z in rs.roots:
+                match = min(range(len(expected)), key=lambda i: abs(expected[i] - z))
+                assert abs(expected[match] - z) < mp.mpf(10) ** -60 * abs(z)
+                expected.pop(match)
+        assert all(r < mp.mpf(10) ** -80 for r in rs.residual_bounds)
+
     def test_triple_root_at_one(self):
         # (T - 1)^3 stalls from the circle but converges from the double
         # start, to within the 2^-(bits/3) that a triple root allows
@@ -334,11 +355,34 @@ def paired_polynomials(draw):
     return q, m, ws, from_pairs(c, q, m, ws)
 
 
+def fraction_divide_out(P, q):
+    """_divide_out_quadratic's former form, kept as its reference: (m, Q)
+    with P = (qT^2 - 1)^m Q, m maximal, by repeated Fraction long
+    division."""
+    if P.is_zero():
+        raise ValueError("the zero polynomial has no such factorisation")
+    quadratic = UniPoly([-1, 0, q])
+    m = 0
+    while True:
+        quot, rem = divmod(P, quadratic)
+        if not rem.is_zero():
+            return m, P
+        P, m = quot, m + 1
+
+
+def integer_divide_out(P, q):
+    """_divide_out_quadratic on P scaled to integers, with the quotient
+    scaled back: the shape of fraction_divide_out's answer."""
+    den, p = _scaled_to_integers(P.coeffs)
+    m, b = analysis._divide_out_quadratic(p, q)
+    return m, UniPoly([F(c, den) for c in b])
+
+
 def two_pass_reduction(P, q):
     """The reference for self_reciprocal_reduction: a symmetry predicate
     b_(k+i) = q^i b_(k-i) on the quotient Q, then R = b_k + sum_i
     b_(k+i) s_i(w) with s_0 = 2, s_1 = w, s_(i+1) = w s_i - s_(i-1)/q."""
-    m, Q = analysis._divide_out_quadratic(P, q)
+    m, Q = fraction_divide_out(P, q)
     k, b = Q.degree // 2, Q.coeffs
     if Q.degree % 2 or any(b[k + i] != q ** i * b[k - i] for i in range(1, k + 1)):
         raise ValueError("P has no functional equation under T -> 1/(qT)")
@@ -520,7 +564,7 @@ class TestSelfReciprocalReduction:
 def quadratic_powers(draw):
     """(q, a, C, P) with P = (qT^2 - 1)^a C and C a nonzero polynomial
     that qT^2 - 1 does not divide."""
-    q = draw(st.sampled_from([2, 3, 4, 5]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
     a = draw(st.integers(0, 4))
     quadratic = UniPoly([-1, 0, q])
     coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
@@ -535,12 +579,47 @@ class TestDivideOutQuadratic:
     @given(quadratic_powers())
     def test_recovers_power_and_cofactor(self, case):
         q, a, C, P = case
-        assert analysis._divide_out_quadratic(P, q) == (a, C)
+        assert integer_divide_out(P, q) == fraction_divide_out(P, q) == (a, C)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 5, 7]),
+           st.lists(_coefficients, min_size=1, max_size=12).map(UniPoly)
+           .filter(lambda P: not P.is_zero()))
+    def test_matches_fraction_form(self, q, P):
+        # mostly m = 0, where the remainder test alone decides
+        assert integer_divide_out(P, q) == fraction_divide_out(P, q)
+
+    def test_matches_fraction_form_on_enumerators(self, all_zetas):
+        for Z in all_zetas.values():
+            for q in (2, 3):
+                assert integer_divide_out(Z.P, q) == fraction_divide_out(Z.P, q)
 
     def test_zero_raises(self):
         for q in (2, 3, 4, 5):
             with pytest.raises(ValueError):
-                analysis._divide_out_quadratic(UniPoly([]), q)
+                analysis._divide_out_quadratic([], q)
+            with pytest.raises(ValueError):
+                analysis._divide_out_quadratic([0, 0, 0], q)
+
+    def test_shared_by_sqrt2_check_and_reduction(self, monkeypatch):
+        # exact_sqrt2_multiplicities and the reduction of the same P
+        # divide once between them; another P, or another q, divides again
+        calls = []
+        original = analysis._divide_out_quadratic
+
+        def counted(p, q):
+            calls.append(q)
+            return original(p, q)
+        monkeypatch.setattr(analysis, "_divide_out_quadratic", counted)
+        P, other = zeta_of(W12).P, zeta_of(W8 * W12).P
+        assert exact_sqrt2_multiplicities(P) == (1, 1)
+        assert self_reciprocal_reduction(P, 2)[0] == 1
+        assert calls == [2]
+        self_reciprocal_reduction(other, 2)
+        exact_sqrt2_multiplicities(other)
+        assert calls == [2, 2]
+        reduction_outcome(self_reciprocal_reduction, other, 3)
+        assert calls == [2, 2, 3]
 
 
 class TestSqrt2Multiplicities:
@@ -569,7 +648,63 @@ class TestSqrt2Multiplicities:
             assert P.coefficient(0) / P.coefficient(P.degree) == F(-1, 2 ** g)
 
 
+def fraction_divisibility(derivative, d):
+    """check_divisibility's former form on a given derivative, kept as its
+    reference: exact_divide by the full product and by each factor, all
+    built by HomogeneousPoly powers over Q."""
+    factors = [HomogeneousPoly(2, [0, 1, 0]) ** (d - 5),
+               HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** (d - 5),
+               HomogeneousPoly(4, [1, 0, 0, 0, 1]),
+               HomogeneousPoly(4, [1, 0, 6, 0, 1])]
+    product = HomogeneousPoly(0, [1])
+    for poly in factors:
+        product = product * poly
+    return (exact_divide(derivative, product),
+            [exact_divide(derivative, poly) is not None for poly in factors])
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(n, extra): an extremal degree n = 36..60 and a homogeneous extra of
+    degree n - 6 to add to its derivative: zero, or a scaled product of
+    drawn powers of the four factors (up to one past the divisor's), of
+    x and of y, and a random cofactor, so that any subset of the factors
+    may divide, and y^(d-5) may divide where x^(d-5) does not."""
+    n = draw(st.sampled_from([36, 44, 52, 60]))
+    N, e = n - 6, build_extremal(n).d - 5
+    if draw(st.booleans()):
+        return n, HomogeneousPoly.zero(N)
+    extra = HomogeneousPoly(0, [draw(_coefficients.filter(bool))])
+    for poly, most in ((HomogeneousPoly(1, [1, 0]), e + 1),
+                       (HomogeneousPoly(1, [0, 1]), e + 1),
+                       (HomogeneousPoly(2, [0, 1, 0]), e + 1),
+                       (HomogeneousPoly(4, [1, 0, 0, 0, -1]), e + 1),
+                       (HomogeneousPoly(4, [1, 0, 0, 0, 1]), 2),
+                       (HomogeneousPoly(4, [1, 0, 6, 0, 1]), 2)):
+        for _ in range(draw(st.integers(0, most))):
+            if extra.degree + poly.degree <= N:
+                extra = extra * poly
+    rest = N - extra.degree
+    cofactor = draw(st.lists(st.integers(-3, 3), min_size=rest + 1, max_size=rest + 1))
+    return n, extra * HomogeneousPoly(rest, cofactor)
+
+
 class TestDivisibility:
+    @settings(max_examples=80, deadline=None)
+    @given(divisibility_cases())
+    def test_matches_fraction_form(self, case):
+        n, extra = case
+        W = build_extremal(n).expanded
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "apply_diff_operator",
+                          lambda op, W: apply_diff_operator(op, W) + extra)
+            rep = check_divisibility(W)
+        quotient, flags = fraction_divisibility(rep.derivative, build_extremal(n).d)
+        assert rep.quotient == quotient
+        assert [f.divides for f in rep.factors] == flags
+        assert rep.ok == (quotient is not None)
+
+
     def test_extremal_36(self):
         rep = check_divisibility(build_extremal(36).expanded)
         assert rep.ok
@@ -584,12 +719,14 @@ class TestDivisibility:
         assert sum(f.degree for f in rep.factors) == 50
         assert rep.derivative.degree == 54
 
-    # x^30, and x^22 (x^4+y^4)(x^4+6x^2y^2+y^4), which the last two
-    # factors divide but (xy)^3 and (x^4-y^4)^3 do not
+    # x^30, x^22 (x^4+y^4)(x^4+6x^2y^2+y^4), which the last two factors
+    # divide but (xy)^3 and (x^4-y^4)^3 do not, and y^30, which y^3
+    # divides but x^3 does not
     @pytest.mark.parametrize("extra", [
         HomogeneousPoly.from_sparse(30, {0: 1}),
         HomogeneousPoly.from_sparse(22, {0: 1}) * HomogeneousPoly(4, [1, 0, 0, 0, 1])
         * HomogeneousPoly(4, [1, 0, 6, 0, 1]),
+        HomogeneousPoly.from_sparse(30, {30: 1}),
     ])
     def test_failing_product_divides_each_factor(self, monkeypatch, extra):
         # with the full product failing, each factor's verdict is its own

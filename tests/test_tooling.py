@@ -2,9 +2,10 @@
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
 print to stdout, how many multiprecision Aberth sweeps the RH-false
-products may take, and how often the headline command reduces P and
-divides the derivative."""
+products may take, and how often the headline command finds the sign,
+reduces P and divides the derivative."""
 import ast
+import functools
 import importlib.util
 import os
 import subprocess
@@ -33,7 +34,8 @@ def test_cli_import_loads_no_heavy_modules():
 def test_certificate_runs_on_rationals_and_integers():
     # the exact path of check_rh must not touch mpmath: its functions
     # name only fractions, math and integer arithmetic
-    for fn in (analysis._divide_out_quadratic, analysis.self_reciprocal_reduction,
+    for fn in (zeta.ZetaPolynomial._sign.func, analysis._divide_out_quadratic,
+               analysis._factorisation, analysis.self_reciprocal_reduction,
                analysis._grid_bits, analysis.chebyshev_grid,
                analysis._certify_on_circle):
         assert "mp" not in fn.__code__.co_names, fn.__name__
@@ -130,10 +132,12 @@ def test_full_degree_roots_of_rh_false_products_polish_a_double_start():
 
 def test_verify_all_reduces_and_divides_once_per_degree(monkeypatch):
     # root pairing is read off the functional equation, so check_rh runs
-    # the only reduction of each of the 7 degrees; divisibility (d >= 8:
+    # the only reduction of each of the 7 degrees, and it shares the one
+    # division by (2T^2 - 1)^m with the sqrt2 check; divisibility (d >= 8:
     # n = 36..60) divides by the full product and, as it divides, by no
     # factor alone
-    calls = {"self_reciprocal_reduction": 0, "exact_divide": 0}
+    calls = {"self_reciprocal_reduction": 0, "_divide_out_quadratic": 0,
+             "_quotient_in_t": 0}
 
     def counted(name):
         original = getattr(analysis, name)
@@ -146,4 +150,26 @@ def test_verify_all_reduces_and_divides_once_per_degree(monkeypatch):
     for name in calls:
         monkeypatch.setattr(analysis, name, counted(name))
     assert cli.main(["verify-all", "--max-degree", "60"]) == 0
-    assert calls == {"self_reciprocal_reduction": 7, "exact_divide": 4}
+    assert calls == {"self_reciprocal_reduction": 7, "_divide_out_quadratic": 7,
+                     "_quotient_in_t": 4}
+
+
+def test_verify_all_finds_each_sign_once_and_takes_no_power(monkeypatch):
+    # the sign of each of the 7 degrees is found once, and read by the
+    # sign check, the pairing check and check_rh; divisibility divides in
+    # t = y/x on integers, with no power of a polynomial
+    evaluations = []
+    original = zeta.ZetaPolynomial._sign.func
+
+    def counted(self):
+        evaluations.append(self.context.n)
+        return original(self)
+    sign = functools.cached_property(counted)
+    sign.__set_name__(zeta.ZetaPolynomial, "_sign")
+    monkeypatch.setattr(zeta.ZetaPolynomial, "_sign", sign)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial power in verify-all")
+    monkeypatch.setattr(algebra._DensePoly, "__pow__", refuse)
+    assert cli.main(["verify-all", "--max-degree", "60"]) == 0
+    assert evaluations == list(range(12, 61, 8))

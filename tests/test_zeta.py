@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, substitute_linear
+from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
+                             substitute_linear)
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import (EnumeratorContext, ZetaPolynomial,
                           _series_term_polys, compute_zeta,
@@ -50,6 +51,75 @@ def substitution_transform(W, q):
     polynomial substitution W(x + (q-1)y, x - y) scaled by q^(-n/2)."""
     M = Matrix2(F(1), F(q - 1), F(1), F(-1))
     return substitute_linear(W, M) * F(1, q ** (W.degree // 2))
+
+
+def series_loop_is_zeta(ctx, P):
+    """is_zeta_polynomial's former form, kept as its reference: at each
+    point t = 0..n, the series coefficients b_i(t) by the prefix-sum
+    recurrence, against P, on integers."""
+    n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
+    if P.degree > nd:
+        return False
+    p_den, p = _scaled_to_integers(P.coeffs)
+    w_den, w = _scaled_to_integers(ctx.W.coeffs)
+    p_rev = [0] * (nd + 1 - len(p)) + p[::-1]
+    binomials = [math.comb(n, j) for j in range(nd + 1)]
+    for t in range(n + 1):
+        power, prefix, b, lhs = 1, 0, 0, 0
+        for i in range(nd + 1):
+            prefix += binomials[i] * power
+            power *= t - 1
+            b = prefix + q * b
+            lhs += p_rev[i] * b
+        w_at_t = 0
+        for c in w:
+            w_at_t = w_at_t * t + c
+        if (q - 1) * w_den * lhs != p_den * (w_at_t - w_den * t ** n):
+            return False
+    return True
+
+
+def fraction_sign(Z):
+    """functional_equation_sign's former form, kept as its reference: the
+    test a_(2g-i) = eps q^(g-i) a_i over Q for every i, each eps in turn."""
+    g = Z.g
+    if g is None or Z.P.degree != 2 * g:
+        return None
+    qf = F(Z.context.q)
+    for eps in (1, -1):
+        if all(Z.P.coefficient(2 * g - i) == eps * qf ** (g - i) * Z.P.coefficient(i)
+               for i in range(2 * g + 1)):
+            return eps
+    return None
+
+
+@st.composite
+def sign_cases(draw):
+    """A ZetaPolynomial whose P has degree 2g for the genus g of its
+    context (d = 1, n = 2g), built with a functional equation of sign +1
+    or -1, then sometimes one coefficient moved; or a P of another degree,
+    or an odd n."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    kind = draw(st.sampled_from(["symmetric", "symmetric", "moved", "degree", "odd"]))
+    g = draw(st.integers(0, 8))
+    half = draw(st.lists(coefficients, min_size=g + 1, max_size=g + 1))
+    half[0] = half[0] or F(1)
+    eps = draw(st.sampled_from([1, -1]))
+    # a_(2g-i) = eps q^(g-i) a_i; the middle one is 0 when eps = -1
+    coeffs = half + [eps * F(q) ** (g - i) * half[i] for i in range(g - 1, -1, -1)]
+    if eps == -1:
+        coeffs[g] = F(0)
+    if kind == "moved":
+        i = draw(st.integers(0, 2 * g))
+        coeffs[i] += draw(coefficients.filter(bool))
+    n = 2 * g
+    if kind == "degree":
+        n += 2 * draw(st.sampled_from([-1, 1]))
+    if kind == "odd":
+        n += 1
+    W = HomogeneousPoly.from_sparse(max(n, 1), {0: 1, 1: 1})
+    return ZetaPolynomial(UniPoly(coeffs), EnumeratorContext(W, q))
 
 
 # even degrees 0..20, about half the entries zero, denominators up to 12
@@ -153,6 +223,23 @@ def falling_shift(ctx):
 
 
 class TestIsZetaPolynomial:
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.fractions(min_value=-5, max_value=5, max_denominator=10**9)
+           .filter(bool))
+    def test_matches_series_loop(self, rng, delta):
+        ctx = random_context(rng)
+        P = compute_zeta(ctx).P
+        k = rng.randint(0, ctx.n - ctx.d)
+        moved = UniPoly([P.coefficient(i) + (delta if i == k else 0)
+                         for i in range(ctx.n - ctx.d + 1)])
+        for candidate in (P, moved, UniPoly([])):
+            assert is_zeta_polynomial(ctx, candidate) == series_loop_is_zeta(ctx, candidate)
+
+    def test_matches_series_loop_on_enumerators(self, all_zetas):
+        for Z in all_zetas.values():
+            assert is_zeta_polynomial(Z.context, Z.P) is series_loop_is_zeta(Z.context, Z.P)
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False),
            st.fractions(min_value=-5, max_value=5, max_denominator=10**9)
@@ -262,6 +349,19 @@ class TestMacWilliams:
 
 
 class TestFunctionalEquationSign:
+    @settings(max_examples=300, deadline=None)
+    @given(sign_cases())
+    def test_matches_fraction_form(self, Z):
+        assert functional_equation_sign(Z) == fraction_sign(Z)
+
+    def test_matches_fraction_form_on_enumerators(self, all_zetas):
+        Zs = list(all_zetas.values())
+        Zs += [compute_zeta(EnumeratorContext(W8 ** s * W12 ** t, q))
+               for s in range(3) for t in range(3) if s or t for q in (2, 3)]
+        signs = [functional_equation_sign(Z) for Z in Zs]
+        assert signs == [fraction_sign(Z) for Z in Zs]
+        assert signs[:len(all_zetas)] == [-1] * len(all_zetas)
+
     def test_w12_is_minus_one(self):
         Z = compute_zeta(EnumeratorContext(W12, 2))
         assert functional_equation_sign(Z) == -1
