@@ -8,11 +8,10 @@ from .algebra import (HomogeneousPoly, Matrix2, SingularMatrixError, UniPoly,
                       apply_diff_operator, exact_divide, solve_linear,
                       substitute_linear)
 from .analysis import (DivisibilityReport, RhReport, RootFindingError,
-                       RootSet, check_divisibility,
-                       check_operator_substitution, check_rh,
-                       derivative_closed_form, exact_sqrt2_multiplicities,
-                       find_roots, mallows_sloane_bound,
-                       self_reciprocal_reduction, verify_root_pairing)
+                       RootSet, check_divisibility, check_rh,
+                       exact_sqrt2_multiplicities, find_roots,
+                       mallows_sloane_bound, self_reciprocal_reduction,
+                       verify_root_pairing)
 from .files import (EnumeratorFormatError, GoldenTableEntry,
                     load_golden_table, read_enumerator_file,
                     write_enumerator_file)

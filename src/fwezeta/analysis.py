@@ -19,8 +19,8 @@ from typing import Optional
 
 import mpmath as mp
 
-from .algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
-                      apply_diff_operator, substitute_linear)
+from .algebra import (HomogeneousPoly, UniPoly, _scaled_to_integers,
+                      apply_diff_operator)
 from .fwe import extremal_min_index, is_formal_weight_enumerator
 from .zeta import ZetaPolynomial, functional_equation_sign, min_weight_index
 
@@ -559,24 +559,6 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     return DivisibilityReport(derivative, checks, full)
 
 
-def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,
-                                M: Matrix2) -> bool:
-    """Exact identity between differentiating after a row-convention
-    substitution and substituting after transforming the operator:
-
-        p(D)[A((x,y)M)]  ==  [ p((x,y)M^T)(D) A ]((x,y)M)
-
-    Holds for every matrix M; used as a property-test primitive.
-    """
-    if p.degree > A.degree:
-        raise ValueError("operator degree exceeds target degree")
-    row = M.transpose()                   # (x,y)M is the column action of M^T
-    lhs = apply_diff_operator(p, substitute_linear(A, row))
-    transformed = substitute_linear(p, M)
-    rhs = substitute_linear(apply_diff_operator(transformed, A), row)
-    return lhs == rhs
-
-
 def mallows_sloane_bound(kind: str, n: int) -> int:
     """Best-possible minimum-index bound per family.
 
@@ -593,42 +575,3 @@ def mallows_sloane_bound(kind: str, n: int) -> int:
             raise ValueError(f"fwe bound needs degree 4 mod 8 and >= 12, got {n}")
         return extremal_min_index(n)
     raise ValueError(f"kind must be 'type2' or 'fwe', got {kind!r}")
-
-
-def derivative_closed_form(W: HomogeneousPoly) -> HomogeneousPoly:
-    """Evaluate xy(x^4-y^4)(D) W from the explicit coefficient formula
-    valid for enumerators in symmetric half form
-
-        W = x^n + y^n + sum_j A_{4j} (x^(n-4j) y^(4j) + x^(4j) y^(n-4j)).
-
-    Independent of apply_diff_operator: each paired term contributes
-
-        A_{4j} [ 4j (n-4j)_5 (x^(n-4j-5) y^(4j-1) - x^(4j-1) y^(n-4j-5))
-               + (n-4j) (4j)_5 (x^(4j-5) y^(n-4j-1) - x^(n-4j-1) y^(4j-5)) ]
-
-    with (a)_5 the falling factorial; the x^n + y^n boundary terms vanish
-    because the operator's mixed partials annihilate pure powers.
-    """
-    n = W.degree
-    if n % 8 != 4:
-        raise ValueError("symmetric half form needs degree 4 mod 8")
-    if W.coefficient(0) != 1 or W.coefficient(n) != 1:
-        raise ValueError("symmetric half form needs x^n and y^n coefficients 1")
-    if any(i % 4 for i in W.support()):
-        raise ValueError("symmetric half form needs support at multiples of 4")
-    if any(W.coefficient(i) != W.coefficient(n - i) for i in range(n + 1)):
-        raise ValueError("symmetric half form needs palindromic coefficients")
-    out = [Fraction(0)] * (n - 5)
-    for j in range(1, (n - 4) // 8 + 1):
-        a = W.coefficient(4 * j)
-        if not a:
-            continue
-        c1 = 4 * j * math.perm(n - 4 * j, 5)
-        if c1:
-            out[4 * j - 1] += a * c1
-            out[n - 4 * j - 5] -= a * c1
-        c2 = (n - 4 * j) * math.perm(4 * j, 5)
-        if c2:
-            out[n - 4 * j - 1] += a * c2
-            out[4 * j - 5] -= a * c2
-    return HomogeneousPoly(n - 6, out)

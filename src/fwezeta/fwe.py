@@ -14,25 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
-from .algebra import (HomogeneousPoly, SingularMatrixError,
-                      _scaled_to_integers, solve_linear)
+from .algebra import HomogeneousPoly
 from .files import MAX_DEGREE
 from .zeta import macwilliams_transform, min_weight_index
 
 W8 = HomogeneousPoly(8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
 W12 = HomogeneousPoly(12, [1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1])
-# x^4 y^4 (x^4 - y^4)^4, equal to (W8^3 - W12^2)/108
-W24_PRIME = (HomogeneousPoly(8, [0, 0, 0, 0, 1, 0, 0, 0, 0])
-             * HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** 4)
 
 
 # Every basis element is supported on indices divisible by 4, so it is
 # kept as a polynomial in u = (y/x)^4: entry j of these int tuples is the
-# coefficient of x^(n-4j) y^(4j).
+# coefficient of x^(n-4j) y^(4j), and the length fixes the degree.
 _W8_U = (1, 14, 1)
 _W12_U = (1, -33, -33, 1)
+# W24' = x^4 y^4 (x^4 - y^4)^4 = u (1 - u)^4, equal to (W8^3 - W12^2)/108
+_W24_U = (0, 1, -4, 6, -4, 1, 0)
 
 
 def _convolve(a: tuple, b: tuple) -> tuple:
@@ -45,16 +44,26 @@ def _convolve(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _spread(u: Sequence[int], den: int = 1) -> HomogeneousPoly:
-    """The HomogeneousPoly with u[j]/den at index 4j."""
+def _spread(u: Sequence[int]) -> HomogeneousPoly:
+    """The HomogeneousPoly with u[j] at index 4j."""
     coeffs = [0] * (4 * len(u) - 3)
-    coeffs[::4] = [Fraction(c, den) for c in u]
+    coeffs[::4] = u
     return HomogeneousPoly(len(coeffs) - 1, coeffs)
+
+
+W24_PRIME = _spread(_W24_U)
 
 
 @lru_cache(maxsize=None)
 def _power(w: tuple, k: int) -> tuple:
     return _convolve(_power(w, k - 1), w) if k else (1,)
+
+
+def _triangular_basis(a: int, j: int) -> tuple:
+    """B_j = W12 W8^(a-3j) W24'^j in u, of degree 8a + 12: it starts at
+    u^j with coefficient 1."""
+    return _convolve(_convolve(_W12_U, _power(_W8_U, a - 3 * j)),
+                     _power(_W24_U, j))
 
 
 @dataclass(frozen=True)
@@ -64,19 +73,10 @@ class FweBasisElement:
     s: int
     t: int
 
-    def expand(self) -> HomogeneousPoly:
-        return _spread(_basis_expansion(self.s, self.t))
-
     def __str__(self):
         w8 = "" if not self.s else ("W8*" if self.s == 1 else f"W8^{self.s}*")
         k = 2 * self.t + 1
         return f"{w8}W12^{k}" if k > 1 else f"{w8}W12"
-
-
-@lru_cache(maxsize=None)
-def _basis_expansion(s: int, t: int) -> tuple:
-    """W8^s W12^(2t+1) as an int tuple in u = (y/x)^4."""
-    return _convolve(_power(_W8_U, s), _power(_W12_U, 2 * t + 1))
 
 
 @dataclass(frozen=True)
@@ -193,36 +193,36 @@ def extremal_min_index(n: int) -> int:
 def build_extremal(n: int) -> FweCombination:
     """Construct the extremal formal weight enumerator of degree n.
 
-    With m + 1 basis elements, the exact linear system {sum of the
-    combination coefficients = 1; coefficient of x^(n-4j) y^(4j) = 0 for
-    j = 1..m} kills every index below 4m + 4.  The system is solved
-    exactly and the resulting minimum index is checked against the bound.
-    The basis products are int tuples in u = (y/x)^4, so the combination
-    is summed on ints over the solution's one common denominator and
-    divided once.  Degrees above files.MAX_DEGREE, which no file could
-    carry, are refused.
+    With a = (n - 12)/8 and m = (n - 12)//24, take B_j = W12 W8^(a-3j)
+    W24'^j, j = 0..m.  As W24' = u (1 - u)^4 in u = (y/x)^4, B_j starts at
+    u^j with coefficient 1 (Mallows & Sloane 1973), so the m + 1 of them
+    are a basis of the degree-n space in which the extremal conditions
+    {coefficient of u^0 = 1; of u^j = 0 for j = 1..m} are unitriangular.
+    Back substitution solves them on ints: c_0 = 1, then c_j = -(u^j
+    coefficient of c_0 B_0 + ... + c_(j-1) B_(j-1)).  The minimum index is
+    checked against the bound.  The terms name the W8^s W12^(2t+1) basis:
+    as W24'^j = 108^(-j) (W8^3 - W12^2)^j, B_j = 108^(-j) sum_i C(j, i)
+    (-1)^i W8^(a-3i) W12^(2i+1), so W8^(a-3i) W12^(2i+1) has coefficient
+    (-1)^i sum_(j >= i) C(j, i) c_j / 108^j.  Degrees above
+    files.MAX_DEGREE, which no file could carry, are refused.
     """
     if n % 8 != 4 or n < 12:
         raise ValueError(f"no formal weight enumerators of degree {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the file limit {MAX_DEGREE}")
-    basis = enumerate_basis(n)
-    m = len(basis) - 1
-    us = [_basis_expansion(e.s, e.t) for e in basis]
-    A = [[1] * (m + 1)]
-    A += [[u[j] for u in us] for j in range(1, m + 1)]
-    b = [1] + [0] * m
-    try:
-        sol = solve_linear(A, b)
-    except SingularMatrixError as e:
-        raise SingularMatrixError(
-            f"no unique extremal combination at degree {n}") from e
-    den, scaled = _scaled_to_integers(sol)
-    total = [sum(c * u[j] for c, u in zip(scaled, us)) for j in range(n // 4 + 1)]
-    expanded = _spread(total, den)
+    a, m = (n - 12) // 8, (n - 12) // 24
+    total, cs = [0] * (n // 4 + 1), []
+    for j in range(m + 1):
+        cs.append((j == 0) - total[j])
+        for k, b in enumerate(_triangular_basis(a, j)):
+            total[k] += cs[j] * b
+    expanded = _spread(total)
     d = min_weight_index(expanded)
     expected = extremal_min_index(n)
     if d != expected:
         raise ArithmeticError(
             f"extremal construction at degree {n} reached d={d}, expected {expected}")
-    return FweCombination(n, tuple(zip(basis, sol)), expanded, d)
+    coeffs = [Fraction((-1) ** i * sum(comb(j, i) * cs[j] * 108 ** (m - j)
+                                       for j in range(i, m + 1)), 108 ** m)
+              for i in range(m + 1)]
+    return FweCombination(n, tuple(zip(enumerate_basis(n), coeffs)), expanded, d)

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, apply_diff_operator
-from fwezeta.analysis import (check_divisibility, check_operator_substitution,
-                              check_rh, derivative_closed_form,
+from fwezeta.analysis import (check_divisibility, check_rh,
                               exact_sqrt2_multiplicities, mallows_sloane_bound)
 from fwezeta.files import load_golden_table
 from fwezeta.fwe import (W8, W12, W24_PRIME, check_invariance_g8,
@@ -22,6 +21,7 @@ from fwezeta.fwe import (W8, W12, W24_PRIME, check_invariance_g8,
 from fwezeta.zeta import (EnumeratorContext, compute_zeta,
                           functional_equation_sign, macwilliams_transform,
                           zeta_oracle)
+from paper_identities import check_operator_substitution, derivative_closed_form
 
 F = Fraction
 

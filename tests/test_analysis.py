@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from fwezeta import analysis
 from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
                              apply_diff_operator, exact_divide)
-from fwezeta.analysis import (RootFindingError, check_divisibility,
-                              check_operator_substitution, check_rh,
-                              chebyshev_grid, derivative_closed_form,
-                              exact_sqrt2_multiplicities, find_roots,
-                              mallows_sloane_bound, self_reciprocal_reduction,
-                              verify_root_pairing)
+from fwezeta.analysis import (RootFindingError, check_divisibility, check_rh,
+                              chebyshev_grid, exact_sqrt2_multiplicities,
+                              find_roots, mallows_sloane_bound,
+                              self_reciprocal_reduction, verify_root_pairing)
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import EnumeratorContext, ZetaPolynomial, compute_zeta
+from paper_identities import check_operator_substitution, derivative_closed_form
 
 F = Fraction
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from fwezeta.algebra import HomogeneousPoly, solve_linear
 from fwezeta.files import MAX_DEGREE
-from fwezeta.fwe import (W8, W12, W24_PRIME, FweBasisElement, build_extremal,
-                         check_invariance_g8, enumerate_basis,
+from fwezeta.fwe import (W8, W12, W24_PRIME, _W8_U, _W12_U, FweBasisElement,
+                         _convolve, _power, _spread, _triangular_basis,
+                         build_extremal, check_invariance_g8, enumerate_basis,
                          extremal_min_index,
                          is_formal_weight_enumerator, min_weight_index,
                          symmetry_checks)
@@ -28,6 +29,8 @@ class TestGenerators:
 
     def test_w24prime_identity(self):
         assert 108 * W24_PRIME == W8 ** 3 - W12 ** 2
+        assert W24_PRIME == (HomogeneousPoly.from_sparse(8, {4: 1})
+                             * HomogeneousPoly(4, [1, 0, 0, 0, -1]) ** 4)
 
 
 class TestDefiningConditions:
@@ -143,16 +146,21 @@ class TestBasis:
         for n in range(12, 197, 8):
             assert len(enumerate_basis(n)) == (n - 12) // 24 + 1
 
-    def test_element_expansion_degree(self):
-        e = FweBasisElement(3, 1)
-        assert e.expand().degree == 60
-
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 15), st.integers(0, 5))
-    @example(0, 0)
-    @example(15, 5)
-    def test_expansion_is_the_product(self, s, t):
-        assert FweBasisElement(s, t).expand() == W8 ** s * W12 ** (2 * t + 1)
+    @given(st.integers(0, 45).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, a // 3))))
+    @example((0, 0))
+    @example((3, 1))
+    @example((45, 15))
+    def test_triangular_element_is_the_product(self, aj):
+        # B_j = W12 W8^(a-3j) W24'^j starts at index 4j with coefficient 1,
+        # which makes the extremal conditions unitriangular
+        a, j = aj
+        B = _spread(_triangular_basis(a, j))
+        assert B == (W12 * _reference_power(W8, a - 3 * j)
+                     * _reference_power(W24_PRIME, j))
+        assert B.degree == 8 * a + 12
+        assert min(B.support()) == 4 * j and B.coefficient(4 * j) == 1
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +225,22 @@ class TestBuildExtremal:
     def test_d_matches_bound_formula(self, all_extremals):
         for n, comb in all_extremals.items():
             assert comb.d == extremal_min_index(n) == 4 * ((n - 12) // 24) + 4
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, (MAX_DEGREE - 12) // 8).map(lambda a: 8 * a + 12))
+    @example(1020)
+    def test_large_degrees_on_integers(self, n):
+        comb = build_extremal(n)
+        assert all(c.denominator == 1 for c in comb.expanded.coeffs)
+        assert sum(c for _, c in comb.terms) == 1
+        assert comb.d == min_weight_index(comb.expanded) == extremal_min_index(n)
+        # the terms, in the W8^s W12^(2t+1) basis, sum to the expansion
+        total = [F(0)] * (n // 4 + 1)
+        for e, c in comb.terms:
+            product = _convolve(_power(_W8_U, e.s), _power(_W12_U, 2 * e.t + 1))
+            for k, b in enumerate(product):
+                total[k] += c * b
+        assert _spread(total) == comb.expanded
 
     def test_matches_reference_builder(self):
         for n in range(12, 421, 8):

@@ -86,8 +86,21 @@ def test_extremal_runs_no_polynomial_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction polynomial product in the extremal builder")
     fwe._power.cache_clear()     # a cached product would hide it
-    fwe._basis_expansion.cache_clear()
     monkeypatch.setattr(algebra._DensePoly, "__mul__", refuse)
+    assert cli.main(["extremal", "--degree", "196"]) == 0
+    assert cli.main(["table", "--max-degree", "196"]) == 0
+
+
+def test_extremal_runs_no_linear_solve(monkeypatch):
+    # the extremal conditions are unitriangular in the basis
+    # W12 W8^(a-3j) W24'^j and are solved by back substitution on ints;
+    # extremal and table must not reach the Fraction linear solver,
+    # under whatever name a module imported it
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear solve in the extremal builder")
+    for module in (algebra, zeta, fwe):
+        if hasattr(module, "solve_linear"):
+            monkeypatch.setattr(module, "solve_linear", refuse)
     assert cli.main(["extremal", "--degree", "196"]) == 0
     assert cli.main(["table", "--max-degree", "196"]) == 0
 
