@@ -146,6 +146,17 @@ class TestBasis:
         for n in range(12, 197, 8):
             assert len(enumerate_basis(n)) == (n - 12) // 24 + 1
 
+    def test_element_expansion_degree(self):
+        assert _element_expansion(FweBasisElement(3, 1)).degree == 60
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 15), st.integers(0, 5))
+    @example(0, 0)
+    @example(15, 5)
+    def test_expansion_is_the_product(self, s, t):
+        assert (_element_expansion(FweBasisElement(s, t))
+                == W8 ** s * W12 ** (2 * t + 1))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 45).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(0, a // 3))))
@@ -161,6 +172,12 @@ class TestBasis:
                      * _reference_power(W24_PRIME, j))
         assert B.degree == 8 * a + 12
         assert min(B.support()) == 4 * j and B.coefficient(4 * j) == 1
+
+
+def _element_expansion(e):
+    """W8^s W12^(2t+1) from the integer u-polynomials that build_extremal
+    uses for its terms, u = (y/x)^4."""
+    return _spread(_convolve(_power(_W8_U, e.s), _power(_W12_U, 2 * e.t + 1)))
 
 
 @lru_cache(maxsize=None)
