@@ -4,21 +4,19 @@ verification suite around them: functional equation signs, root modulus
 checks, exact root multiplicities, derivative divisibility and the
 sharpened minimum-index bound."""
 
-from .algebra import (HomogeneousPoly, Matrix2, SingularMatrixError, UniPoly,
-                      apply_diff_operator, exact_divide, solve_linear,
-                      substitute_linear)
+from .algebra import (HomogeneousPoly, SingularMatrixError, UniPoly,
+                      apply_diff_operator, solve_linear)
 from .analysis import (DivisibilityReport, RhReport, RootFindingError,
                        RootSet, check_divisibility, check_rh,
                        exact_sqrt2_multiplicities, find_roots,
-                       mallows_sloane_bound, self_reciprocal_reduction,
-                       verify_root_pairing)
+                       mallows_sloane_bound, self_reciprocal_reduction)
 from .files import (EnumeratorFormatError, GoldenTableEntry,
                     load_golden_table, read_enumerator_file,
                     write_enumerator_file)
-from .fwe import (W8, W12, W24_PRIME, FweBasisElement, FweCheck,
-                  FweCombination, build_extremal, check_invariance_g8,
-                  enumerate_basis, extremal_min_index,
-                  is_formal_weight_enumerator, symmetry_checks)
+from .fwe import (W8, W12, FweBasisElement, FweCheck, FweCombination,
+                  build_extremal, check_invariance_g8, enumerate_basis,
+                  extremal_min_index, is_formal_weight_enumerator,
+                  symmetry_checks)
 from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
                    functional_equation_sign, genus, is_zeta_polynomial,
                    macwilliams_transform, min_weight_index, zeta_oracle)

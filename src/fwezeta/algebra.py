@@ -135,10 +135,6 @@ class HomogeneousPoly(_DensePoly):
         return cls(len(coeffs) - 1, coeffs)
 
     @classmethod
-    def zero(cls, degree: int) -> "HomogeneousPoly":
-        return cls(degree, [0] * (degree + 1))
-
-    @classmethod
     def from_sparse(cls, degree: int, entries: Mapping[int, object]) -> "HomogeneousPoly":
         coeffs = [Fraction(0)] * (degree + 1)
         for i, c in entries.items():

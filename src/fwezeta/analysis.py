@@ -199,29 +199,43 @@ class RhReport:
         return "exact" if self.root_set is None else "numeric"
 
 
+def _divide_unit(a: list, b) -> Optional[list]:
+    """The int quotient c of a = b c, for the ascending int coefficients a
+    and b, b_0 = 1 and b's top nonzero, or None when b does not divide a.
+
+    b_0 is a unit, so synthetic division runs from the bottom on ints,
+    c_i = a_i - sum_(j>=1) b_j c_(i-j), over every entry of a.  The entries
+    past the quotient's len(a) - deg b then hold the remainder (the first
+    nonzero one exactly, as all entries below it are), so b divides a when
+    they are all zero.
+    """
+    c = list(a)
+    terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
+    for i in range(len(c)):
+        for j, bj in terms:
+            if i >= j:
+                c[i] -= bj * c[i - j]
+    cut = max(len(c) - len(b) + 1, 0)
+    if any(c[cut:]):
+        return None
+    del c[cut:]
+    return c
+
+
 def _divide_out_quadratic(p: list, q: int) -> tuple:
     """(m, b) with p = (qT^2 - 1)^m * b and m maximal, for the ascending
     integer coefficients p of a nonzero polynomial; b is on integers too.
 
-    The divisor has constant term -1, a unit, so the quotient c of
-    p = (qT^2 - 1) c comes from the bottom, c_k = q c_(k-2) - p_k, and
-    stays in ints.  Those c_0..c_(D-2), D = deg p, account for p_0..p_(D-2)
-    whatever p is; they are the quotient exactly when the top two
-    coefficients agree as well, p_(D-1) = q c_(D-3) and p_D = q c_(D-2).
-    The first pass whose top coefficients disagree leaves a remainder and
-    ends the count.
+    1 - qT^2 has constant term 1, so _divide_unit divides it out until a
+    remainder is left; as (qT^2 - 1)^m = (-1)^m (1 - qT^2)^m, b is the
+    last quotient negated when m is odd.
     """
     if not any(p):
         raise ValueError("the zero polynomial has no such factorisation")
     m = 0
-    while len(p) > 2:
-        c = [0, 0]                  # c[k + 2] = c_k, behind c_(-2) = c_(-1) = 0
-        for pk in p[:-2]:
-            c.append(q * c[-2] - pk)
-        if p[-2] != q * c[-2] or p[-1] != q * c[-1]:
-            break
-        p, m = c[2:], m + 1
-    return m, p
+    while (c := _divide_unit(p, (1, 0, -q))) is not None:
+        p, m = c, m + 1
+    return m, [-x for x in p] if m % 2 else p
 
 
 # The last polynomial _factorisation saw, with its answer.  verify-all asks
@@ -485,27 +499,17 @@ def _quotient_in_t(a: list, room: int, shift: int, divisors) -> Optional[list]:
     of the divisor: the power of x left for the quotient.
 
     t^shift divides when the lowest shift coefficients are zero, and
-    dividing by it is a shift.  A divisor b with b_0 = 1 divides from the
-    bottom by synthetic division, c_i = a_i - sum_(j>=1) b_j c_(i-j), in
-    place and on ints; the entries past the quotient's length then hold
-    the remainder (the first nonzero one is computed exactly, as all
-    entries below it are), so it divides when they are all zero.  As in
-    exact_divide, the quotient must also fit the room: its t-degree at
-    most room, or x would not divide.
+    dividing by it is a shift; each divisor then divides by _divide_unit.
+    As in exact_divide, the quotient must also fit the room: its t-degree
+    at most room, or x would not divide.
     """
     if room < 0 or any(a[:shift]):
         return None
     c = a[shift:]
     for b in divisors:
-        top = len(b) - 1
-        terms = [(j, bj) for j, bj in enumerate(b) if j and bj]
-        for i in range(len(c)):
-            for j, bj in terms:
-                if i >= j:
-                    c[i] -= bj * c[i - j]
-        if any(c[max(len(c) - top, 0):]):
+        c = _divide_unit(c, b)
+        if c is None:
             return None
-        del c[max(len(c) - top, 0):]
     if any(c[room + 1:]):
         return None
     return c[:room + 1] + [0] * (room + 1 - len(c))

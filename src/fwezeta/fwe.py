@@ -51,9 +51,6 @@ def _spread(u: Sequence[int]) -> HomogeneousPoly:
     return HomogeneousPoly(len(coeffs) - 1, coeffs)
 
 
-W24_PRIME = _spread(_W24_U)
-
-
 @lru_cache(maxsize=None)
 def _power(w: tuple, k: int) -> tuple:
     return _convolve(_power(w, k - 1), w) if k else (1,)

@@ -176,10 +176,15 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
         sum_i P_(n-d-i) b_i(t) = sum_j C(n, j) h_j (t-1)^j,
 
     with g_l = P_(n-d-l) + q g_(l+1) (so g_l = sum_(i>=l) P_(n-d-i) q^(i-l))
-    and h_j = g_j + h_(j+1), from g_(n-d+1) = h_(n-d+1) = 0.  Each point
-    then costs one Horner pass in t - 1 and one through W.  Both sides
-    have degree at most n in t, so equality at t = 0..n, cross-multiplied
-    by the common denominators of P and W, is the identity itself.
+    and h_j = g_j + h_(j+1), from g_(n-d+1) = h_(n-d+1) = 0.  A Taylor
+    shift by -1, all subtractions in place (von zur Gathen & Gerhard,
+    ISSAC 1997), rewrites that sum in powers of t.  Its t^j coefficient
+    must equal W_(n-j)/(q-1), W_i the x^(n-i) y^i coefficient of W, once
+    both are cross-multiplied by the common denominators of P and W.  The
+    test runs for j = 0..n-d only: above t^(n-d) the left side has no
+    terms, and the right side vanishes as well, as W is monic with no
+    index in 1..d-1.  Both sides of the identity are homogeneous of
+    degree n in x and y, so agreement at y = 1 is the identity itself.
     Nothing here comes from :func:`compute_zeta`'s binomial moments of W,
     so the check stays independent of it.
 
@@ -203,16 +208,11 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
         g = p_rev[j] + q * g
         h += g
         folded[j] = math.comb(n, j) * h
-    for t in range(n + 1):
-        lhs = 0
-        for c in reversed(folded):
-            lhs = lhs * (t - 1) + c
-        w_at_t = 0
-        for c in w:
-            w_at_t = w_at_t * t + c
-        if (q - 1) * w_den * lhs != p_den * (w_at_t - w_den * t ** n):
-            return False
-    return True
+    for i in range(nd):
+        for j in range(nd - 1, i - 1, -1):
+            folded[j] -= folded[j + 1]
+    return all((q - 1) * w_den * folded[j] == p_den * w[n - j]
+               for j in range(nd + 1))
 
 
 def genus(n: int, d: int) -> int:

@@ -1,12 +1,16 @@
 """Reference identities from the paper that test the package but that no
-command runs: the operator-substitution identity behind the
-transformation rule of p(D), and the closed-form coefficient formula for
-xy(x^4 - y^4)(D) W, an oracle for ``apply_diff_operator``."""
+command runs: W24' = (W8^3 - W12^2)/108, the operator-substitution
+identity behind the transformation rule of p(D), and the closed-form
+coefficient formula for xy(x^4 - y^4)(D) W, an oracle for
+``apply_diff_operator``."""
 import math
 from fractions import Fraction
 
 from fwezeta.algebra import (HomogeneousPoly, Matrix2, apply_diff_operator,
                              substitute_linear)
+
+# W24' = x^4 y^4 (x^4 - y^4)^4, equal to (W8^3 - W12^2)/108
+W24_PRIME = HomogeneousPoly.from_sparse(24, {4: 1, 8: -4, 12: 6, 16: -4, 20: 1})
 
 
 def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,

@@ -16,12 +16,13 @@ from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, apply_diff_operat
 from fwezeta.analysis import (check_divisibility, check_rh,
                               exact_sqrt2_multiplicities, mallows_sloane_bound)
 from fwezeta.files import load_golden_table
-from fwezeta.fwe import (W8, W12, W24_PRIME, check_invariance_g8,
+from fwezeta.fwe import (W8, W12, check_invariance_g8,
                          is_formal_weight_enumerator, symmetry_checks)
 from fwezeta.zeta import (EnumeratorContext, compute_zeta,
                           functional_equation_sign, macwilliams_transform,
                           zeta_oracle)
-from paper_identities import check_operator_substitution, derivative_closed_form
+from paper_identities import (W24_PRIME, check_operator_substitution,
+                              derivative_closed_form)
 
 F = Fraction
 

@@ -560,6 +560,49 @@ class TestSelfReciprocalReduction:
 
 
 @st.composite
+def unit_divisions(draw):
+    """(a, b, c): b ascending ints with b_0 = 1, a nonzero top and sparse
+    entries; a the product b c of an int c, as it is (c given) or with one
+    entry moved (c None), or ints drawn alone (c None), shorter than b too."""
+    top = draw(st.integers(1, 6))
+    b = ([1] + draw(st.lists(st.sampled_from([0, 0, 0, -4, -1, 1, 3]),
+                             min_size=top - 1, max_size=top - 1))
+         + [draw(st.integers(-5, 5).filter(bool))])
+    kind = draw(st.sampled_from(["exact", "perturbed", "alone"]))
+    if kind == "alone":
+        return draw(st.lists(st.integers(-9, 9), max_size=10)), b, None
+    c = draw(st.lists(st.integers(-9, 9), max_size=8))
+    a = [sum(b[j] * c[i - j] for j in range(len(b)) if 0 <= i - j < len(c))
+         for i in range(len(b) + len(c) - 1)] if c else []
+    if kind == "exact" or not a:
+        return a, b, c
+    a[draw(st.integers(0, len(a) - 1))] += draw(st.integers(-3, 3).filter(bool))
+    return a, b, None
+
+
+class TestDivideUnit:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_divisions())
+    @example(([], [1, 0, -2], []))
+    @example(([0, 0], [1, 0, -2], None))
+    @example(([0] * 6, [1, 0, 0, 0, -1], None))
+    @example(([5], [1, 3], None))
+    def test_matches_long_division(self, case):
+        # the reference is UniPoly's long division from the top, over Q
+        a, b, c = case
+        before = list(a)
+        got = analysis._divide_unit(a, b)
+        assert a == before
+        quot, rem = divmod(UniPoly(a), UniPoly(b))
+        if c is not None:
+            assert got == c
+        assert (got is None) == (not rem.is_zero())
+        if got is not None:
+            assert len(got) == max(len(a) - len(b) + 1, 0)
+            assert UniPoly(got) == quot
+
+
+@st.composite
 def quadratic_powers(draw):
     """(q, a, C, P) with P = (qT^2 - 1)^a C and C a nonzero polynomial
     that qT^2 - 1 does not divide."""
@@ -672,7 +715,7 @@ def divisibility_cases(draw):
     n = draw(st.sampled_from([36, 44, 52, 60]))
     N, e = n - 6, build_extremal(n).d - 5
     if draw(st.booleans()):
-        return n, HomogeneousPoly.zero(N)
+        return n, HomogeneousPoly(N, [0] * (N + 1))
     extra = HomogeneousPoly(0, [draw(_coefficients.filter(bool))])
     for poly, most in ((HomogeneousPoly(1, [1, 0]), e + 1),
                        (HomogeneousPoly(1, [0, 1]), e + 1),

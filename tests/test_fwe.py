@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from fwezeta.algebra import HomogeneousPoly, solve_linear
 from fwezeta.files import MAX_DEGREE
-from fwezeta.fwe import (W8, W12, W24_PRIME, _W8_U, _W12_U, FweBasisElement,
+from fwezeta.fwe import (W8, W12, _W8_U, _W12_U, FweBasisElement,
                          _convolve, _power, _spread, _triangular_basis,
                          build_extremal, check_invariance_g8, enumerate_basis,
                          extremal_min_index,
                          is_formal_weight_enumerator, min_weight_index,
                          symmetry_checks)
+from paper_identities import W24_PRIME
 
 F = Fraction
 
@@ -96,7 +97,7 @@ def g8_candidates(draw):
         coeff = st.one_of(st.just(F(0)), _small_rationals)
         return HomogeneousPoly(n, draw(st.lists(coeff, min_size=n + 1,
                                                 max_size=n + 1)))
-    W = HomogeneousPoly.zero(n)
+    W = HomogeneousPoly(n, [0] * (n + 1))
     for a in range(n // 8 + 1):
         if (n - 8 * a) % 12 == 0:
             W = W + W8 ** a * W12 ** ((n - 8 * a) // 12) * draw(_small_rationals)
@@ -116,7 +117,7 @@ class TestInvarianceG8:
 
     @settings(max_examples=60, deadline=None)
     @given(g8_candidates())
-    @example(HomogeneousPoly.zero(4))
+    @example(HomogeneousPoly(4, [0] * 5))
     @example(HomogeneousPoly(6, [0, 0, 1, 0, 0, 0, 1]))    # n = 2 (mod 4)
     @example(W8)
     @example(HomogeneousPoly(4, [1, 0, 0, 0, 1]))
@@ -196,7 +197,7 @@ def reference_extremal(n):
     A = [[F(1)] * (m + 1)]
     A += [[p.coefficient(4 * j) for p in polys] for j in range(1, m + 1)]
     sol = solve_linear(A, [F(1)] + [F(0)] * m)
-    expanded = HomogeneousPoly.zero(n)
+    expanded = HomogeneousPoly(n, [0] * (n + 1))
     for coeff, poly in zip(sol, polys):
         expanded = expanded + poly * coeff
     return tuple(zip(basis, sol)), expanded

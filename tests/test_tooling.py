@@ -34,10 +34,10 @@ def test_cli_import_loads_no_heavy_modules():
 def test_certificate_runs_on_rationals_and_integers():
     # the exact path of check_rh must not touch mpmath: its functions
     # name only fractions, math and integer arithmetic
-    for fn in (zeta.ZetaPolynomial._sign.func, analysis._divide_out_quadratic,
-               analysis._factorisation, analysis.self_reciprocal_reduction,
-               analysis._grid_bits, analysis.chebyshev_grid,
-               analysis._certify_on_circle):
+    for fn in (zeta.ZetaPolynomial._sign.func, analysis._divide_unit,
+               analysis._divide_out_quadratic, analysis._factorisation,
+               analysis.self_reciprocal_reduction, analysis._grid_bits,
+               analysis.chebyshev_grid, analysis._certify_on_circle):
         assert "mp" not in fn.__code__.co_names, fn.__name__
 
 

@@ -183,7 +183,7 @@ class TestComputeZeta:
             Z = compute_zeta(ctx)
             nd = ctx.n - ctx.d
             terms = _series_term_polys(ctx)
-            acc = HomogeneousPoly.zero(ctx.n)
+            acc = HomogeneousPoly(ctx.n, [0] * (ctx.n + 1))
             for k in range(nd + 1):
                 acc = acc + terms[nd - k] * Z.P.coefficient(k)
             target = (ctx.W - HomogeneousPoly.from_sparse(ctx.n, {0: 1})) \
@@ -261,8 +261,9 @@ class TestIsZetaPolynomial:
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_residual_zero_at_first_points_only(self, rng):
-        # P of W is wrong for the shifted W', yet the two sides of the
-        # identity agree at t = 0..n-d-1: every point up to t = n-d counts
+        # P of W is wrong for the shifted W', whose change vanishes at
+        # x = 0..n-d-1 when y = 1 but has the nonzero x^(n-d) y^d
+        # coefficient: the comparison must reach the top one, t^(n-d)
         ctx = random_context(rng)
         P = compute_zeta(ctx).P
         shifted = falling_shift(ctx)
@@ -323,7 +324,7 @@ class TestMacWilliams:
 
     @settings(max_examples=200, deadline=None)
     @given(even_degree_polys, st.sampled_from([2, 3, 4, 5]))
-    @example(HomogeneousPoly.zero(8), 3)
+    @example(HomogeneousPoly(8, [0] * 9), 3)
     @example(HomogeneousPoly(0, [F(7, 3)]), 5)
     @example(HomogeneousPoly.from_sparse(20, {0: F(1, 6), 13: F(-5, 4)}), 4)
     def test_matches_substitution(self, W, q):
