@@ -9,6 +9,8 @@ identity the package checks has a rational form.  Both polynomial shapes
 are a coefficient vector under the same product (index i times index j
 lands at i + j), so :class:`_DensePoly` carries the arithmetic once and
 each shape adds only its constructor, its addition rule and its helpers.
+That product is :func:`_convolve` on ints, the one the extremal builder
+also runs.
 """
 from __future__ import annotations
 
@@ -36,6 +38,16 @@ def _scaled_to_integers(coeffs: Sequence[Fraction]) -> tuple:
     of the list is an int."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """The product of two int coefficient vectors, on ints."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 class _DensePoly:
@@ -76,14 +88,10 @@ class _DensePoly:
 
     def __mul__(self, other):
         if type(other) is type(self):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return self._new(out)
+            da, a = _scaled_to_integers(self.coeffs)
+            db, b = _scaled_to_integers(other.coeffs)
+            den = da * db
+            return self._new([Fraction(c, den) for c in _convolve(a, b)])
         try:
             s = _as_scalar(other)
         except TypeError:
@@ -160,27 +168,21 @@ class HomogeneousPoly(_DensePoly):
 
     def __str__(self):
         n = self.degree
-        parts = []
+        out = ""
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             xs = f"x^{n - i}" if n - i > 1 else ("x" if n - i == 1 else "")
             ys = f"y^{i}" if i > 1 else ("y" if i == 1 else "")
-            mono = "*".join(p for p in (xs, ys) if p) or "1"
-            if c == 1 and mono != "1":
-                parts.append(mono)
-            elif c == -1 and mono != "1":
-                parts.append(f"-{mono}")
-            elif mono == "1":
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{mono}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            mono = "*".join(p for p in (xs, ys) if p)
+            size = abs(c)
+            term = (f"{size}*{mono}" if size != 1 else mono) if mono else str(size)
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += term
+        return out or "0"
 
 
 class UniPoly(_DensePoly):

@@ -412,7 +412,7 @@ def check_rh(Z: ZetaPolynomial, tolerance: float = DEFAULT_RH_TOLERANCE,
         raise ValueError("q is too large for a floating-point modulus") from None
     if Z.P.degree < 1:
         return RhReport(True, target, 0.0, (), None)
-    if Z._sign is not None:             # functional_equation_sign, kept with Z
+    if functional_equation_sign(Z) is not None:
         m, R = self_reciprocal_reduction(Z.P, q)
         if _certify_on_circle(R, q):
             return RhReport(True, target, 0.0, (), None)

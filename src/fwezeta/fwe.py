@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .algebra import HomogeneousPoly
+from .algebra import HomogeneousPoly, _convolve
 from .files import MAX_DEGREE
 from .zeta import macwilliams_transform, min_weight_index
 
@@ -32,16 +32,6 @@ _W8_U = (1, 14, 1)
 _W12_U = (1, -33, -33, 1)
 # W24' = x^4 y^4 (x^4 - y^4)^4 = u (1 - u)^4, equal to (W8^3 - W12^2)/108
 _W24_U = (0, 1, -4, 6, -4, 1, 0)
-
-
-def _convolve(a: tuple, b: tuple) -> tuple:
-    """The product of two int polynomials in u, on ints."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _spread(u: Sequence[int]) -> HomogeneousPoly:
@@ -172,14 +162,10 @@ def enumerate_basis(n: int) -> list:
     Empty for n not congruent to 4 mod 8 or n < 12; the count is
     floor((n - 12)/24) + 1 otherwise.
     """
-    out = []
-    t = 0
-    while 12 * (2 * t + 1) <= n:
-        rem = n - 12 * (2 * t + 1)
-        if rem % 8 == 0:
-            out.append(FweBasisElement(rem // 8, t))
-        t += 1
-    return out
+    if n % 8 != 4 or n < 12:
+        return []
+    a = (n - 12) // 8
+    return [FweBasisElement(a - 3 * t, t) for t in range(a // 3 + 1)]
 
 
 def extremal_min_index(n: int) -> int:

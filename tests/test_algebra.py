@@ -258,6 +258,62 @@ def exact_divide_at_y1(A, B):
                            [0] * (va - vb) + list(reversed(quot.coeffs)))
 
 
+def reference_product(A, B):
+    """The former product of _DensePoly.__mul__: a Fraction double loop."""
+    out = [F(0)] * (len(A.coeffs) + len(B.coeffs) - 1)
+    for i, a in enumerate(A.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(B.coeffs):
+            if b:
+                out[i + j] += a * b
+    return A._new(out)
+
+
+def reference_str(W):
+    """The former renderer of HomogeneousPoly: signed parts first, then
+    joined, with each leading '-' re-read as a ' - ' separator."""
+    n = W.degree
+    parts = []
+    for i, c in enumerate(W.coeffs):
+        if not c:
+            continue
+        xs = f"x^{n - i}" if n - i > 1 else ("x" if n - i == 1 else "")
+        ys = f"y^{i}" if i > 1 else ("y" if i == 1 else "")
+        mono = "*".join(p for p in (xs, ys) if p) or "1"
+        if c == 1 and mono != "1":
+            parts.append(mono)
+        elif c == -1 and mono != "1":
+            parts.append(f"-{mono}")
+        elif mono == "1":
+            parts.append(str(c))
+        else:
+            parts.append(f"{c}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+# entries over many denominators, about half of them zero
+mixed = st.just(F(0)) | st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def unipoly_pairs(draw):
+    """(A, B) with B drawn on its own, the zero polynomial, or A(-T): then
+    every odd coefficient of A * B cancels, the one below the top too."""
+    A = UniPoly(draw(st.lists(mixed, max_size=13)))
+    kind = draw(st.sampled_from(["free", "zero", "mirror"]))
+    if kind == "zero":
+        return A, UniPoly([])
+    if kind == "mirror":
+        return A, UniPoly([c if i % 2 == 0 else -c for i, c in enumerate(A.coeffs)])
+    return A, UniPoly(draw(st.lists(mixed, max_size=13)))
+
+
 class TestDenseCore:
     @settings(max_examples=150, deadline=None)
     @given(unipolys(8), unipolys(5))
@@ -325,6 +381,34 @@ class TestDenseCore:
             W * U
         with pytest.raises(TypeError):
             W - U
+
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous(12, mixed), homogeneous(12, mixed))
+    @example(HomogeneousPoly(1, [F(1, 2), F(1, 3)]), HomogeneousPoly(1, [F(1, 5), 1]))
+    @example(HomogeneousPoly(0, [0]), HomogeneousPoly(2, [F(7, 3), 0, 0]))
+    def test_homogeneous_product_matches_fraction_loop(self, A, B):
+        # the integer product divides once by both denominators
+        assert A * B == reference_product(A, B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(unipoly_pairs())
+    @example((UniPoly([F(1, 2), 0, F(2, 3)]), UniPoly([F(1, 2), 0, F(2, 3)])))
+    @example((UniPoly([F(3, 4), F(-1, 6), F(5, 9)]), UniPoly([F(3, 4), F(1, 6), F(5, 9)])))
+    @example((UniPoly([]), UniPoly([])))
+    @example((UniPoly([F(1, 7)]), UniPoly([])))
+    def test_unipoly_product_matches_fraction_loop(self, pair):
+        A, B = pair
+        assert A * B == reference_product(A, B)
+        assert B * A == reference_product(B, A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous(8, st.sampled_from(
+        [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(7, 3), F(-7, 3)])))
+    @example(HomogeneousPoly(3, [0] * 4))
+    @example(HomogeneousPoly(0, [-1]))
+    @example(HomogeneousPoly(2, [1, -1, F(7, 3)]))
+    def test_str_matches_two_pass_renderer(self, W):
+        assert str(W) == reference_str(W)
 
     def test_immutable_and_hashable(self):
         for p in (W8, UniPoly([1, 2])):

@@ -147,6 +147,10 @@ class TestBasis:
         for n in range(12, 197, 8):
             assert len(enumerate_basis(n)) == (n - 12) // 24 + 1
 
+    def test_matches_search_over_t(self):
+        for n in range(-8, 1101):
+            assert enumerate_basis(n) == reference_basis(n), n
+
     def test_element_expansion_degree(self):
         assert _element_expansion(FweBasisElement(3, 1)).degree == 60
 
@@ -173,6 +177,19 @@ class TestBasis:
                      * _reference_power(W24_PRIME, j))
         assert B.degree == 8 * a + 12
         assert min(B.support()) == 4 * j and B.coefficient(4 * j) == 1
+
+
+def reference_basis(n):
+    """The former enumerate_basis: every t with 12(2t + 1) <= n, kept
+    when the rest of the degree is a multiple of 8."""
+    out = []
+    t = 0
+    while 12 * (2 * t + 1) <= n:
+        rem = n - 12 * (2 * t + 1)
+        if rem % 8 == 0:
+            out.append(FweBasisElement(rem // 8, t))
+        t += 1
+    return out
 
 
 def _element_expansion(e):

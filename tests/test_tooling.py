@@ -2,8 +2,9 @@
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
 print to stdout, how many multiprecision Aberth sweeps the RH-false
-products may take, and how often the headline command finds the sign,
-reduces P and divides the derivative."""
+products may take, how often the headline command finds the sign,
+reduces P and divides the derivative, and which product every
+polynomial multiplication runs."""
 import ast
 import functools
 import importlib.util
@@ -186,3 +187,18 @@ def test_verify_all_finds_each_sign_once_and_takes_no_power(monkeypatch):
     monkeypatch.setattr(algebra._DensePoly, "__pow__", refuse)
     assert cli.main(["verify-all", "--max-degree", "60"]) == 0
     assert evaluations == list(range(12, 61, 8))
+
+
+def test_one_polynomial_product(monkeypatch):
+    # the extremal builder's u-polynomials and both Fraction polynomial
+    # shapes multiply by the one integer product in algebra
+    assert fwe._convolve is algebra._convolve
+    calls = []
+    original = algebra._convolve
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return original(a, b)
+    monkeypatch.setattr(algebra, "_convolve", counted)
+    assert (W8 * W12).degree == 20
+    assert calls == [(9, 13)]
