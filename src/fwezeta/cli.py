@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -89,7 +90,8 @@ def cmd_zeta(args) -> tuple:
         f"n = {ctx.n}, d = {ctx.d}, q = {ctx.q}",
         f"deg P = {Z.P.degree}, g = {Z.g}",
         "P coefficients (ascending): " + ", ".join(coeffs),
-        f"functional equation sign: {sign}",
+        "functional equation sign: "
+        + ("none (no functional equation)" if sign is None else str(sign)),
     ]
     if args.oracle:
         payload["oracle_agrees"] = agrees = zeta_oracle(ctx).P == Z.P
@@ -324,7 +326,10 @@ def cmd_verify_all(args) -> tuple:
     return {"results": results, "ok": all_ok}, lines, 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, on the first call and not at import: each
+    parse_args returns a fresh Namespace, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="fwe-zeta",
         description="Exact zeta polynomials and formal weight enumerators.")

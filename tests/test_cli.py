@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fwezeta import cli
 from fwezeta.cli import main
 from fwezeta.files import MAX_DEGREE, read_enumerator_file, write_enumerator_file
 from fwezeta.fwe import W8, W12, build_extremal
@@ -47,6 +48,20 @@ class TestZetaCommand:
         out = capsys.readouterr().out
         assert "1/5, 2/5, 2/5" in out and "sign: 1" in out
         assert "oracle agrees: yes" in out
+
+    def test_no_functional_equation_at_q3(self, tmp_path, capsys):
+        # at q = 3 the extremal P of degree 12 has no functional equation;
+        # the digest battery sends no --q, so at q = 2 its sign is +-1
+        # and both pinned digests stay as they are
+        assert not any("--q" in argv for argv in _transcript_battery(tmp_path))
+        path = str(tmp_path / "e12.json")
+        write_enumerator_file(build_extremal(12).expanded, path)
+        assert main(["zeta", "--input", path, "--q", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "functional equation sign: none (no functional equation)"
+        assert main(["zeta", "--input", path, "--q", "3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["q"] == 3 and doc["sign"] is None
 
     def test_json_format(self, w12_file, capsys):
         assert main(["zeta", "--input", w12_file, "--format", "json"]) == 0
@@ -401,6 +416,86 @@ class TestTranscriptDigest:
                       out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == "f78a7dbb00fdae19942cd899f57f45d6448051c550013d01963e8d0fd9b37024"
+
+
+def _request(argv, capsys):
+    """Exit code, stdout and stderr of one in-process request, an argparse
+    rejection (SystemExit) included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+COMMANDS = ["zeta", "transform", "check", "extremal", "rh", "divisibility",
+            "bound", "table", "verify-all"]
+
+
+class TestSharedParser:
+    """main builds its parser once per process, so consecutive requests
+    share it: no flag, default or rejection may carry over to the next."""
+
+    def test_oracle_does_not_carry_over(self, w12_file, capsys):
+        argv = ["zeta", "--input", w12_file, "--format", "json"]
+        assert main([*argv, "--oracle"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
+        assert main(argv) == 0
+        assert "oracle_agrees" not in json.loads(capsys.readouterr().out)
+
+    def test_q_and_output_do_not_carry_over(self, w12_file, tmp_path, capsys):
+        out_path = tmp_path / "t.json"
+        argv = ["transform", "--input", w12_file, "--format", "json"]
+        assert main([*argv, "--q", "3", "--output", str(out_path)]) == 0
+        at_q3 = capsys.readouterr().out
+        out_path.unlink()
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not out_path.exists()
+        assert doc["coefficients"]["0"] == "-1" and doc["coefficients"]["4"] == "33"
+        assert json.loads(at_q3) != doc
+
+    def test_precision_and_tol_do_not_carry_over(self, tmp_path, capsys):
+        # W8^3 W12 fails RH, so its certificate is numeric and names the
+        # precision it ran at
+        path = str(tmp_path / "w.json")
+        write_enumerator_file(W8 ** 3 * W12, path)
+        assert main(["rh", "--input", path, "--precision", "128", "--tol", "1e-6"]) == 1
+        assert "in 128-bit arithmetic" in capsys.readouterr().out
+        assert main(["rh", "--input", path]) == 1
+        out = capsys.readouterr().out
+        assert "in 256-bit arithmetic" in out and "(tolerance 1.0e-09)" in out
+        assert main(["rh", "--input", path, "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["precision_bits"] == 256
+
+    @pytest.mark.parametrize("rejected", [["bound", "fwe"], ["frobnicate"]])
+    def test_rejection_leaves_next_request_unchanged(self, tmp_path, capsys,
+                                                     rejected):
+        path = str(tmp_path / "w.json")
+        write_enumerator_file(W8 ** 3 * W12, path)
+        valid = ["rh", "--input", path]
+        cli.build_parser.cache_clear()     # the valid request runs first
+        first = _request(valid, capsys)
+        code, out, err = _request(rejected, capsys)
+        assert code == 2 and out == "" and "error:" in err
+        assert _request(valid, capsys) == first
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in COMMANDS)],
+                             ids=["program", *COMMANDS])
+    def test_help_matches_fresh_process(self, monkeypatch, capsys, command):
+        # the help text is formatted when asked for, at the width of the
+        # moment, so the shared parser prints what a fresh process prints
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*command, "--help"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-m", "fwezeta.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        fresh = (proc.returncode, proc.stdout, proc.stderr)
+        assert fresh[0] == 0 and fresh[1].startswith("usage: fwe-zeta")
+        assert _request(argv, capsys) == fresh
+        assert _request(argv, capsys) == fresh
 
 
 class _ClosedStdout(io.TextIOBase):

@@ -3,8 +3,9 @@ on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
 print to stdout, how many multiprecision Aberth sweeps the RH-false
 products may take, how often the headline command finds the sign,
-reduces P and divides the derivative, and which product every
-polynomial multiplication runs."""
+reduces P and divides the derivative, which product every
+polynomial multiplication runs, and how often `main` builds its parser."""
+import argparse
 import ast
 import functools
 import importlib.util
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from fwezeta import algebra, analysis, cli, fwe, zeta
 from fwezeta.fwe import W8, W12
@@ -202,3 +205,27 @@ def test_one_polynomial_product(monkeypatch):
     monkeypatch.setattr(algebra, "_convolve", counted)
     assert (W8 * W12).degree == 20
     assert calls == [(9, 13)]
+
+
+def test_main_builds_parser_once(monkeypatch, tmp_path):
+    # the nine-command parser costs about 2 ms to build; once main has
+    # served one request, no request builds another, whatever its outcome
+    path = tmp_path / "e36.json"
+    write_enumerator_file(fwe.build_extremal(36).expanded, path)
+    assert cli.main(["bound", "fwe", "84"]) == 0
+    builds = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["check", "--input", str(path)]) == 0
+    assert cli.main(["zeta", "--input", str(path), "--format", "json"]) == 0
+    assert cli.main(["divisibility", "--input", str(path)]) == 0
+    assert cli.main(["extremal", "--degree", "36"]) == 0
+    assert cli.main(["extremal", "--degree", "21"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check", "--input", str(path), "--no-such-flag"])
+    assert exit_.value.code == 2
+    assert builds == []
