@@ -3,20 +3,29 @@ homogeneous bivariate and univariate polynomials, linear substitution,
 differential operators, exact division and an exact linear solver.
 
 Every value is immutable and every operation is exact; nothing in this
-module ever rounds.  Scalars are plain ``fractions.Fraction`` (ints are
-promoted on entry); no irrational number is ever needed, because every
-identity the package checks has a rational form.  Both polynomial shapes
-are a coefficient vector under the same product (index i times index j
-lands at i + j), so :class:`_DensePoly` carries the arithmetic once and
-each shape adds only its constructor, its addition rule and its helpers.
-That product is :func:`_convolve` on ints, the one the extremal builder
-also runs.
+module ever rounds.  Scalars are ints and ``fractions.Fraction``s; no
+irrational number is ever needed, because every identity the package
+checks has a rational form.  Both polynomial shapes are a coefficient
+vector under the same product (index i times index j lands at i + j),
+so :class:`_DensePoly` carries the arithmetic once and each shape adds
+only its constructor, its addition rule and its helpers.
+
+A polynomial holds its vector in one integer form: an int ``den > 0``
+and int numerators ``nums``, entry i being nums[i] / den, with
+gcd(den, *nums) == 1.  The form is unique: two such pairs of one vector
+give den' nums = den nums', and as each den is prime to its own nums,
+den divides den' and den' divides den.  So den is the least common
+multiple of the reduced denominators, equality compares (den, nums), and
+every kernel of the package reads and builds this form on ints.  The
+Fraction vector ``coeffs`` is derived from it on request.  The product
+is :func:`_convolve` on ints, the one the extremal builder also runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -25,19 +34,11 @@ class SingularMatrixError(ValueError):
 
 
 def _as_scalar(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+    """value itself, an int or a Fraction: both have a numerator and a
+    denominator, so neither needs converting."""
+    if isinstance(value, (int, Fraction)):
         return value
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
-
-
-def _scaled_to_integers(coeffs: Sequence[Fraction]) -> tuple:
-    """(den, [den * c for c in coeffs]) with den the least common
-    denominator of coeffs (1 when there are none), so that every entry
-    of the list is an int."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -51,32 +52,74 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> tuple:
 
 
 class _DensePoly:
-    """Immutable dense coefficient vector ``coeffs`` with the arithmetic
-    both polynomial shapes share.  Results are built by ``_new(coeffs)``,
-    so each subclass applies its own shape rule to them; values of
-    different subclasses never compare equal or combine."""
+    """Immutable dense coefficient vector, held as ``nums`` over ``den``
+    in the module's integer form, with the arithmetic both polynomial
+    shapes share.  Results are built by ``_from_ints(den, nums)`` (or
+    ``_new(coeffs)`` from a rational vector), so each subclass applies
+    its own shape rule to them; values of different subclasses never
+    compare equal or combine."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums")
+
+    def _set(self, den: int, nums) -> None:
+        """Hold nums / den, for a nonzero int den and int nums, in lowest
+        terms with den > 0."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple(c // g for c in nums)
+                           if g != 1 else tuple(nums))
+
+    def _set_rational(self, coeffs) -> None:
+        """Hold the vector of ints and Fractions coeffs, scaled by the
+        least common multiple of its denominators."""
+        coeffs = [_as_scalar(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set(den, [c.numerator * (den // c.denominator) for c in coeffs])
+
+    @classmethod
+    def _from_ints(cls, den: int, nums):
+        """The polynomial with the vector nums / den."""
+        poly = object.__new__(cls)
+        poly._set(den, nums)
+        return poly
 
     @classmethod
     def _new(cls, coeffs):
-        return cls(coeffs)
+        """The polynomial with the rational vector coeffs."""
+        poly = object.__new__(cls)
+        poly._set_rational(coeffs)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The vector as Fractions, built on each read."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, i: int):
         """Entry i of the vector (zero outside the index range)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
+
+    def _sum(self, other):
+        """self + other on ints, the shorter vector padded with zeros."""
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return self._from_ints(den, [a * sa + b * sb for a, b in
+                                     zip_longest(self.nums, other.nums, fillvalue=0)])
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -84,19 +127,18 @@ class _DensePoly:
         return self + (-other)
 
     def __neg__(self):
-        return self._new([-c for c in self.coeffs])
+        return self._from_ints(self.den, [-c for c in self.nums])
 
     def __mul__(self, other):
         if type(other) is type(self):
-            da, a = _scaled_to_integers(self.coeffs)
-            db, b = _scaled_to_integers(other.coeffs)
-            den = da * db
-            return self._new([Fraction(c, den) for c in _convolve(a, b)])
+            return self._from_ints(self.den * other.den,
+                                   _convolve(self.nums, other.nums))
         try:
             s = _as_scalar(other)
         except TypeError:
             return NotImplemented
-        return self._new([c * s for c in self.coeffs])
+        return self._from_ints(self.den * s.denominator,
+                               [c * s.numerator for c in self.nums])
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -112,10 +154,10 @@ class _DensePoly:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
 
 class HomogeneousPoly(_DensePoly):
@@ -130,29 +172,25 @@ class HomogeneousPoly(_DensePoly):
     __slots__ = ()
 
     def __init__(self, degree: int, coeffs: Iterable):
-        coeffs = tuple(_as_scalar(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if degree < 0:
             raise ValueError("degree must be non-negative")
         if len(coeffs) != degree + 1:
             raise ValueError(
                 f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _new(cls, coeffs):
-        return cls(len(coeffs) - 1, coeffs)
+        self._set_rational(coeffs)
 
     @classmethod
     def from_sparse(cls, degree: int, entries: Mapping[int, object]) -> "HomogeneousPoly":
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [0] * (degree + 1)
         for i, c in entries.items():
             if not 0 <= i <= degree:
                 raise ValueError(f"coefficient index {i} outside 0..{degree}")
-            coeffs[i] = _as_scalar(c)
+            coeffs[i] = c
         return cls(degree, coeffs)
 
     def support(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
+        return tuple(i for i, c in enumerate(self.nums) if c)
 
     def __add__(self, other):
         if not isinstance(other, HomogeneousPoly):
@@ -160,8 +198,7 @@ class HomogeneousPoly(_DensePoly):
         if other.degree != self.degree:
             raise ValueError(
                 f"cannot add degree {self.degree} and degree {other.degree}")
-        return HomogeneousPoly(
-            self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other)
 
     def __repr__(self):
         return f"HomogeneousPoly({self.degree}, {list(self.coeffs)!r})"
@@ -193,16 +230,18 @@ class UniPoly(_DensePoly):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable):
-        coeffs = [_as_scalar(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._set_rational(coeffs)
+
+    def _set(self, den: int, nums) -> None:
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        super()._set(den, nums)
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return self._sum(other)
 
     def __divmod__(self, other):
         """Long division: (quotient, remainder) with
@@ -247,13 +286,13 @@ def substitute_linear(W: HomogeneousPoly, M: Matrix2) -> HomogeneousPoly:
     """
     u = HomogeneousPoly(1, [M.a, M.b])
     v = HomogeneousPoly(1, [M.c, M.d])
-    n = W.degree
+    n, c = W.degree, W.coeffs
     # Horner over the coefficient index: result = sum_i c_i u^(n-i) v^i
-    acc = HomogeneousPoly(0, [W.coeffs[0]])
+    acc = HomogeneousPoly(0, [c[0]])
     vpow = HomogeneousPoly(0, [1])
     for i in range(1, n + 1):
         vpow = vpow * v
-        acc = acc * u + vpow * W.coeffs[i]
+        acc = acc * u + vpow * c[i]
     return acc
 
 
@@ -269,12 +308,12 @@ def apply_diff_operator(p: HomogeneousPoly, W: HomogeneousPoly) -> HomogeneousPo
         raise ValueError(
             f"operator degree {p.degree} exceeds target degree {W.degree}")
     n, m = W.degree, W.degree - p.degree
-    out = [Fraction(0)] * (m + 1)
-    for i, pc in enumerate(p.coeffs):
+    out = [0] * (m + 1)
+    for i, pc in enumerate(p.nums):
         if not pc:
             continue
         dx, dy = p.degree - i, i
-        for k, wc in enumerate(W.coeffs):
+        for k, wc in enumerate(W.nums):
             if not wc:
                 continue
             if n - k < dx or k < dy:
@@ -282,7 +321,7 @@ def apply_diff_operator(p: HomogeneousPoly, W: HomogeneousPoly) -> HomogeneousPo
             factor = math.perm(n - k, dx) * math.perm(k, dy)
             if factor:
                 out[k - dy] += pc * wc * factor
-    return HomogeneousPoly(m, out)
+    return HomogeneousPoly._from_ints(p.den * W.den, out)
 
 
 def exact_divide(A: HomogeneousPoly, B: HomogeneousPoly) -> Optional[HomogeneousPoly]:
@@ -296,10 +335,11 @@ def exact_divide(A: HomogeneousPoly, B: HomogeneousPoly) -> Optional[Homogeneous
     if B.is_zero():
         raise ValueError("division by the zero polynomial")
     k = A.degree - B.degree
-    quot, rem = divmod(UniPoly(A.coeffs), UniPoly(B.coeffs))
+    quot, rem = divmod(UniPoly._from_ints(A.den, A.nums),
+                       UniPoly._from_ints(B.den, B.nums))
     if k < 0 or not rem.is_zero() or quot.degree > k:
         return None
-    return HomogeneousPoly(k, quot.coeffs + (0,) * (k - quot.degree))
+    return HomogeneousPoly._from_ints(quot.den, quot.nums + (0,) * (k - quot.degree))
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:

@@ -14,13 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
 
-from .algebra import (HomogeneousPoly, UniPoly, _scaled_to_integers,
-                      apply_diff_operator)
+from .algebra import HomogeneousPoly, UniPoly, apply_diff_operator
 from .fwe import extremal_min_index, is_formal_weight_enumerator
 from .zeta import ZetaPolynomial, functional_equation_sign, min_weight_index
 
@@ -69,9 +67,9 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
         raise ValueError("precision_bits must be at least 53")
     with mp.workprec(precision_bits + 32):
         # exact roots at zero first, so the remaining constant term is nonzero
-        vzero = next(i for i, c in enumerate(P.coeffs) if c)
+        vzero = next(i for i, c in enumerate(P.nums) if c)
         zeros = [mp.mpc(0)] * vzero
-        c = [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs[vzero:]]
+        c = _mp_coefficients(P)[vzero:]
         deg = len(c) - 1
         roots = list(zeros)
         residuals = [mp.mpf(0)] * vzero
@@ -91,6 +89,12 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
             roots += z
             residuals += [_residual_bound(c, zk) for zk in z]
         return RootSet(tuple(roots), tuple(residuals), iterations)
+
+
+def _mp_coefficients(P: UniPoly) -> list:
+    """The coefficients of P at the working precision, each the quotient
+    of its reduced numerator and denominator."""
+    return [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs]
 
 
 def _aberth_sweep(c, dc, z):
@@ -246,13 +250,11 @@ _last_factorisation = (None, 0, None)
 
 
 def _factorisation(P: UniPoly, q: int) -> tuple:
-    """(den, m, b): P scaled to the integers p = den P, and
-    _divide_out_quadratic(p, q) = (m, b)."""
+    """(P.den, m, b) with _divide_out_quadratic(P.nums, q) = (m, b)."""
     global _last_factorisation
     last, last_q, answer = _last_factorisation
     if last is not P or last_q != q:
-        den, p = _scaled_to_integers(P.coeffs)
-        answer = (den, *_divide_out_quadratic(p, q))
+        answer = (P.den, *_divide_out_quadratic(P.nums, q))
         _last_factorisation = (P, q, answer)
     return answer
 
@@ -292,8 +294,7 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
             term = term * (j - i) * q // (i + 1)
     if any(B):
         raise ValueError("P has no functional equation under T -> 1/(qT)")
-    scale = den * q ** k
-    return m, UniPoly(Fraction(c, scale) for c in R)
+    return m, UniPoly._from_ints(den * q ** k, R)
 
 
 # The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
@@ -334,8 +335,7 @@ def _certify_on_circle(R: UniPoly, q: int) -> bool:
     bits = _grid_bits(q) and the shifts 2^(bits (k-i)) folded into r_i.
     """
     k, bits = R.degree, _grid_bits(q)
-    r = [c << (bits * (k - i))
-         for i, c in enumerate(_scaled_to_integers(R.coeffs)[1])]
+    r = [c << (bits * (k - i)) for i, c in enumerate(R.nums)]
     points = 2 * k + 2
     for _ in range(CERTIFICATE_DOUBLINGS + 1):
         changes, last = 0, 0
@@ -378,7 +378,7 @@ def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
             # the larger-modulus root first, so neither suffers cancellation
             alpha = max((w + root) / 2, (w - root) / 2, key=abs)
             roots += [alpha, 1 / (q * alpha)]
-        c = [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs]
+        c = _mp_coefficients(P)
         residuals = [_residual_bound(c, z) for z in roots]
     return RootSet(tuple(roots), tuple(residuals), rs.iterations)
 
@@ -451,7 +451,7 @@ def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
 
     For rational P the two roots are Galois conjugates, so both have the
     multiplicity m of 2T^2 - 1.  m comes from _divide_out_quadratic, on
-    P scaled to integers, through the same _factorisation that
+    the numerators of P, through the same _factorisation that
     check_rh's reduction reads, so verify-all divides once per degree.
     Nothing is rounded: parity statements must never depend on a numeric
     tolerance.  The zero polynomial gives (0, 0).
@@ -525,7 +525,7 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     divisibility into the minimum-index bound.
 
     The division runs on integers in t = y/x (_quotient_in_t): the
-    derivative scaled by one common denominator, (xy)^(d-5) as the test
+    derivative's int numerators, (xy)^(d-5) as the test
     that its lowest d-5 coefficients vanish and a shift, then synthetic
     division by 1 - t^4 (d-5 times), 1 + t^4 and 1 + 6t^2 + t^4, and the
     test that the quotient fits its degree.  Each factor is divided alone
@@ -539,7 +539,7 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     if d < 8:
         raise ValueError(f"divisibility check needs d >= 8, got d = {d}")
     derivative = apply_diff_operator(_DIFF_OP, W)
-    den, a = _scaled_to_integers(derivative.coeffs)
+    a = list(derivative.nums)
     e = d - 5
     # (name, homogeneous degree, power of t, divisors in t)
     named = [
@@ -559,7 +559,7 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
                                or quotient(degree, shift, divisors) is not None)
                    for name, degree, shift, divisors in named)
     if full is not None:
-        full = HomogeneousPoly(len(full) - 1, [Fraction(c, den) for c in full])
+        full = HomogeneousPoly._from_ints(derivative.den, full)
     return DivisibilityReport(derivative, checks, full)
 
 

@@ -131,7 +131,7 @@ class GoldenTableEntry:
 
     def expand(self) -> HomogeneousPoly:
         n = self.n
-        entries = {0: Fraction(1), n: Fraction(1)}
+        entries = {0: 1, n: 1}
         for index, value in self.coefficients.items():
             entries[index] = value
             entries[n - index] = value

@@ -113,7 +113,7 @@ def is_formal_weight_enumerator(W: HomogeneousPoly) -> FweCheck:
     must be monic in x and have rational coefficients.
     """
     failures = []
-    if W.coefficient(0) != 1:
+    if W.nums[0] != W.den:
         failures.append("not monic in x")
     support_ok = all(i % 4 == 0 for i in W.support())
     if not support_ok:
@@ -129,10 +129,8 @@ def is_formal_weight_enumerator(W: HomogeneousPoly) -> FweCheck:
 
 
 def symmetry_checks(W: HomogeneousPoly) -> SymmetryReport:
-    n = W.degree
-    terms = len(W.support())
-    palindrome = all(W.coefficient(i) == W.coefficient(n - i) for i in range(n + 1))
-    return SymmetryReport(n % 8 == 4, terms % 2 == 0, palindrome)
+    return SymmetryReport(W.degree % 8 == 4, len(W.support()) % 2 == 0,
+                          W.nums == W.nums[::-1])
 
 
 def check_invariance_g8(W: HomogeneousPoly) -> bool:

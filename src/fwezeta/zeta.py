@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (HomogeneousPoly, UniPoly, _scaled_to_integers,
-                      solve_linear)
+from .algebra import HomogeneousPoly, UniPoly, solve_linear
 
 
 def min_weight_index(W: HomogeneousPoly) -> int:
     """The minimum index d of W: the smallest i >= 1 with a nonzero
     coefficient.  W must be monic in x and not x^n itself."""
-    if W.coefficient(0) != 1:
+    if W.nums[0] != W.den:
         raise ValueError("enumerator must be monic in x (coefficient of x^n is 1)")
-    d = next((i for i in range(1, W.degree + 1) if W.coefficient(i)), None)
+    d = next((i for i in range(1, W.degree + 1) if W.nums[i]), None)
     if d is None:
         raise ValueError("W = x^n has no minimum index d and no zeta polynomial")
     return d
@@ -76,7 +75,7 @@ class ZetaPolynomial:
         g = self.g
         if g is None or self.P.degree != 2 * g:
             return None
-        q, p = self.context.q, _scaled_to_integers(self.P.coeffs)[1]
+        q, p = self.context.q, self.P.nums
         qg = q ** g
         for eps in (1, -1):
             if all(q ** i * p[2 * g - i] == eps * qg * p[i] for i in range(g + 1)):
@@ -105,18 +104,21 @@ def compute_zeta(ctx: EnumeratorContext) -> ZetaPolynomial:
     for A at 1 + s becomes, in place on the scaled integer coefficients
     of A, n-d passes in which pass i adds b_(j+1) into b_j for
     j = n-d-1 down to i (von zur Gathen & Gerhard, ISSAC 1997), so no
-    binomial is formed per term and no Fraction before the end.
+    binomial is formed per term.  Every c_k is then an int over one
+    common denominator, that of W times (q-1) lcm_j C(n, j), and so is P.
     """
     n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
-    den, b = _scaled_to_integers([ctx.W.coefficient(n - i) for i in range(nd + 1)])
+    b = [ctx.W.nums[n - i] for i in range(nd + 1)]
     for i in range(nd):
         for j in range(nd - 1, i - 1, -1):
             b[j] += b[j + 1]
-    # c[k + 2] = c_k, behind c_(-2) = c_(-1) = 0
-    c = [0, 0] + [Fraction(b[nd - k], den * (q - 1) * math.comb(n, nd - k))
-                  for k in range(nd + 1)]
-    return ZetaPolynomial(UniPoly(c[k + 2] - (1 + q) * c[k + 1] + q * c[k]
-                                  for k in range(nd + 1)), ctx)
+    binomials = [math.comb(n, j) for j in range(nd + 1)]
+    lcm = math.lcm(*binomials)
+    # c[k + 2] = c_k W.den (q-1) lcm, behind c_(-2) = c_(-1) = 0
+    c = [0, 0] + [b[nd - k] * (lcm // binomials[nd - k]) for k in range(nd + 1)]
+    return ZetaPolynomial(UniPoly._from_ints(
+        ctx.W.den * (q - 1) * lcm,
+        [c[k + 2] - (1 + q) * c[k + 1] + q * c[k] for k in range(nd + 1)]), ctx)
 
 
 def _series_term_polys(ctx: EnumeratorContext) -> list:
@@ -197,12 +199,11 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
     n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
     if P.degree > nd:
         return False
-    p_den, p = _scaled_to_integers(P.coeffs)
-    w_den, w = _scaled_to_integers(ctx.W.coeffs)
-    # p_rev[l] = p_den P_(n-d-l) pairs with b_l; w[i] is the x^(n-i) y^i
-    # coefficient of w_den W
-    p_rev = [0] * (nd + 1 - len(p)) + p[::-1]
-    folded = [0] * (nd + 1)             # C(n, j) h_j, scaled by p_den
+    p, w = P.nums, ctx.W.nums
+    # p_rev[l] = P.den P_(n-d-l) pairs with b_l; w[i] is the x^(n-i) y^i
+    # coefficient of W.den W
+    p_rev = (0,) * (nd + 1 - len(p)) + p[::-1]
+    folded = [0] * (nd + 1)             # C(n, j) h_j, scaled by P.den
     g = h = 0
     for j in range(nd, -1, -1):
         g = p_rev[j] + q * g
@@ -211,7 +212,7 @@ def is_zeta_polynomial(ctx: EnumeratorContext, P: UniPoly) -> bool:
     for i in range(nd):
         for j in range(nd - 1, i - 1, -1):
             folded[j] -= folded[j + 1]
-    return all((q - 1) * w_den * folded[j] == p_den * w[n - j]
+    return all((q - 1) * ctx.W.den * folded[j] == P.den * w[n - j]
                for j in range(nd + 1))
 
 
@@ -238,7 +239,7 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
     Its division is exact: the right side equals (j+1) K_(j+1)(i), and
     K_(j+1)(i) is an integer, a coefficient of a product of polynomials
     with integer coefficients; scaling every K_j(i) by one integer keeps
-    it so.  With W scaled to integers a_i over one denominator den, the
+    it so.  With W the integers a_i over its denominator den, the
     recurrence runs on a_i K_j(i) for each i in the support of W, output
     j collects sum_i a_i K_j(i), and one division by den * q^(n/2) ends
     it (MacWilliams & Sloane, ch. 5 sec. 7).
@@ -253,9 +254,8 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
     n = W.degree
     if n % 2:
         raise ValueError("transform needs an even-degree polynomial")
-    den, a = _scaled_to_integers(W.coeffs)
     out = [0] * (n + 1)
-    for i, a_i in enumerate(a):
+    for i, a_i in enumerate(W.nums):
         if not a_i:
             continue
         prev, cur = 0, a_i          # a_i K_(j-1)(i) and a_i K_j(i)
@@ -263,8 +263,7 @@ def macwilliams_transform(W: HomogeneousPoly, q: int = 2) -> HomogeneousPoly:
             out[j] += cur
             prev, cur = cur, (((n - j) * (q - 1) + j - q * i) * cur
                               - (q - 1) * (n - j + 1) * prev) // (j + 1)
-    scale = den * q ** (n // 2)
-    return HomogeneousPoly(n, [Fraction(c, scale) for c in out])
+    return HomogeneousPoly._from_ints(W.den * q ** (n // 2), out)
 
 
 def functional_equation_sign(Z: ZetaPolynomial) -> Optional[int]:

@@ -2,12 +2,21 @@
 command runs: W24' = (W8^3 - W12^2)/108, the operator-substitution
 identity behind the transformation rule of p(D), and the closed-form
 coefficient formula for xy(x^4 - y^4)(D) W, an oracle for
-``apply_diff_operator``."""
+``apply_diff_operator``; and the scaler by which reference kernels reach
+integers from ``coeffs``, never from the integer form they check."""
 import math
 from fractions import Fraction
 
 from fwezeta.algebra import (HomogeneousPoly, Matrix2, apply_diff_operator,
                              substitute_linear)
+
+
+def scaled_to_integers(coeffs) -> tuple:
+    """(den, [den * c for c in coeffs]) with den the least common
+    denominator of the Fractions coeffs (1 when there are none)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
 
 # W24' = x^4 y^4 (x^4 - y^4)^4, equal to (W8^3 - W12^2)/108
 W24_PRIME = HomogeneousPoly.from_sparse(24, {4: 1, 8: -4, 12: 6, 16: -4, 20: 1})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -416,3 +417,68 @@ class TestDenseCore:
                 p.coeffs = ()
         assert hash(W8 * 1) == hash(W8)
         assert hash(UniPoly([1, 2, 0])) == hash(UniPoly([1, 2]))
+
+
+def in_integer_form(P):
+    """den > 0 and int nums with gcd(den, *nums) == 1."""
+    return (type(P.den) is int and P.den > 0 and all(type(c) is int for c in P.nums)
+            and math.gcd(P.den, *P.nums) == 1)
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    """(A, B) of one degree, B sometimes a multiple of A so that A - B
+    or A + B cancels."""
+    A = draw(homogeneous(8, mixed))
+    B = draw(st.lists(mixed, min_size=A.degree + 1, max_size=A.degree + 1)
+             .map(lambda c: HomogeneousPoly(A.degree, c)) | st.just(A * F(-1)))
+    return A, B
+
+
+def rebuilt(P):
+    """P through its public constructor, from its Fraction vector."""
+    if isinstance(P, HomogeneousPoly):
+        return HomogeneousPoly(P.degree, P.coeffs)
+    return UniPoly(P.coeffs)
+
+
+class TestIntegerForm:
+    # every polynomial holds one integer form, den > 0 and int nums in
+    # lowest terms, whichever operation built it
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_pairs() | unipoly_pairs(), rationals)
+    @example((UniPoly([F(1, 2), F(1, 3)]), UniPoly([F(-1, 2), F(-1, 3)])), F(0))
+    @example((HomogeneousPoly(2, [F(1, 6), 0, F(5, 6)]),
+              HomogeneousPoly(2, [F(-1, 6), F(1, 4), F(1, 6)])), F(-3, 4))
+    def test_every_operation_gives_the_form(self, pair, s):
+        A, B = pair
+        for P in (A, B, A + B, A - B, A * B, -A, A * s, s * A,
+                  type(A)._from_ints(-6, [4 * c for c in A.nums])):
+            assert in_integer_form(P), P
+            assert rebuilt(P) == P
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.dictionaries(st.integers(0, n), mixed, max_size=n + 1))))
+    def test_from_sparse_gives_the_form(self, sparse_entries):
+        n, entries = sparse_entries
+        W = HomogeneousPoly.from_sparse(n, entries)
+        assert in_integer_form(W)
+        assert W.coeffs == tuple(F(entries.get(i, 0)) for i in range(n + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous(8, mixed) | unipolys(8), st.integers(1, 10 ** 12))
+    def test_form_is_unique(self, P, k):
+        Q = type(P)._from_ints(k * P.den, [k * c for c in P.nums])
+        assert (Q.den, Q.nums) == (P.den, P.nums)
+        assert Q == P and hash(Q) == hash(P)
+        R = type(P)._new(P.coeffs)
+        assert (R.den, R.nums) == (P.den, P.nums) and hash(R) == hash(P)
+        assert P.den == math.lcm(*(c.denominator for c in P.coeffs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(homogeneous(8, mixed) | unipolys(8))
+    def test_zero_has_denominator_one(self, P):
+        for Z in (P - P, P * 0, type(P)._from_ints(7, [0] * len(P.nums))):
+            assert Z.is_zero() and Z.den == 1
+        assert UniPoly([]).den == 1 and HomogeneousPoly(3, [0] * 4).den == 1

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import analysis
-from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
+from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly,
                              apply_diff_operator, exact_divide)
 from fwezeta.analysis import (RootFindingError, check_divisibility, check_rh,
                               chebyshev_grid, exact_sqrt2_multiplicities,
@@ -15,7 +15,8 @@ from fwezeta.analysis import (RootFindingError, check_divisibility, check_rh,
                               self_reciprocal_reduction, verify_root_pairing)
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import EnumeratorContext, ZetaPolynomial, compute_zeta
-from paper_identities import check_operator_substitution, derivative_closed_form
+from paper_identities import (check_operator_substitution, derivative_closed_form,
+                              scaled_to_integers)
 
 F = Fraction
 
@@ -372,7 +373,7 @@ def fraction_divide_out(P, q):
 def integer_divide_out(P, q):
     """_divide_out_quadratic on P scaled to integers, with the quotient
     scaled back: the shape of fraction_divide_out's answer."""
-    den, p = _scaled_to_integers(P.coeffs)
+    den, p = scaled_to_integers(P.coeffs)
     m, b = analysis._divide_out_quadratic(p, q)
     return m, UniPoly([F(c, den) for c in b])
 

@@ -4,9 +4,12 @@ functions the benchmark traces, where the command line front end may
 print to stdout, how many multiprecision Aberth sweeps the RH-false
 products may take, how often the headline command finds the sign,
 reduces P and divides the derivative, which product every
-polynomial multiplication runs, and how often `main` builds its parser."""
+polynomial multiplication runs, how often `main` builds its parser, and
+that no integer kernel of the headline command constructs a Fraction."""
 import argparse
 import ast
+import collections
+import fractions
 import functools
 import importlib.util
 import os
@@ -229,3 +232,45 @@ def test_main_builds_parser_once(monkeypatch, tmp_path):
         cli.main(["check", "--input", str(path), "--no-such-flag"])
     assert exit_.value.code == 2
     assert builds == []
+
+
+# The kernels that read a polynomial's integer form and build their
+# results from ints; none of them may box a coefficient into a Fraction.
+INTEGER_KERNELS = {
+    "fwezeta.zeta.macwilliams_transform", "fwezeta.zeta.ZetaPolynomial._sign",
+    "fwezeta.zeta.compute_zeta", "fwezeta.zeta.is_zeta_polynomial",
+    "fwezeta.analysis._factorisation", "fwezeta.analysis.self_reciprocal_reduction",
+    "fwezeta.analysis._certify_on_circle", "fwezeta.analysis.check_divisibility",
+    "fwezeta.algebra.apply_diff_operator",
+}
+# accessors that build Fractions for whoever asks; their constructions
+# count to the caller
+ACCESSORS = {"fwezeta.algebra._DensePoly.coeffs",
+             "fwezeta.algebra._DensePoly.coefficient"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
+def test_integer_kernels_construct_no_fraction(monkeypatch, capsys):
+    # each Fraction construction during verify-all counts to the first
+    # function outside fractions.py and the accessors; a comprehension or
+    # generator counts to the function it is written in
+    counts = collections.Counter()
+    original = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while True:
+            code = frame.f_code
+            name = (frame.f_globals.get("__name__", "") + "."
+                    + code.co_qualname.split(".<locals>")[0])
+            if code.co_filename != fractions.__file__ and name not in ACCESSORS:
+                break
+            frame = frame.f_back
+        counts[name] += 1
+        return original(cls, *args, **kwargs)
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    zeta.macwilliams_transform.cache_clear()     # a cached W would hide it
+    assert cli.main(["verify-all", "--max-degree", "196", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert counts["fwezeta.files.parse_rational"] > 0      # the count sees them
+    assert {name: counts[name] for name in INTEGER_KERNELS if counts[name]} == {}

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwezeta.algebra import (HomogeneousPoly, Matrix2, UniPoly, _scaled_to_integers,
-                             substitute_linear)
+from fwezeta.algebra import HomogeneousPoly, Matrix2, UniPoly, substitute_linear
 from fwezeta.fwe import W8, W12, build_extremal
 from fwezeta.zeta import (EnumeratorContext, ZetaPolynomial,
                           _series_term_polys, compute_zeta,
                           functional_equation_sign, genus, is_zeta_polynomial,
                           macwilliams_transform, zeta_oracle)
+from paper_identities import scaled_to_integers
 
 F = Fraction
 
@@ -60,8 +60,8 @@ def series_loop_is_zeta(ctx, P):
     n, q, nd = ctx.n, ctx.q, ctx.n - ctx.d
     if P.degree > nd:
         return False
-    p_den, p = _scaled_to_integers(P.coeffs)
-    w_den, w = _scaled_to_integers(ctx.W.coeffs)
+    p_den, p = scaled_to_integers(P.coeffs)
+    w_den, w = scaled_to_integers(ctx.W.coeffs)
     p_rev = [0] * (nd + 1 - len(p)) + p[::-1]
     binomials = [math.comb(n, j) for j in range(nd + 1)]
     for t in range(n + 1):
