@@ -4,8 +4,7 @@ verification suite around them: functional equation signs, root modulus
 checks, exact root multiplicities, derivative divisibility and the
 sharpened minimum-index bound."""
 
-from .algebra import (HomogeneousPoly, SingularMatrixError, UniPoly,
-                      apply_diff_operator, solve_linear)
+from .algebra import HomogeneousPoly, UniPoly, apply_diff_operator
 from .analysis import (DivisibilityReport, RhReport, RootFindingError,
                        RootSet, check_divisibility, check_rh,
                        exact_sqrt2_multiplicities, find_roots,
@@ -19,6 +18,6 @@ from .fwe import (W8, W12, FweBasisElement, FweCheck, FweCombination,
                   symmetry_checks)
 from .zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
                    functional_equation_sign, genus, is_zeta_polynomial,
-                   macwilliams_transform, min_weight_index, zeta_oracle)
+                   macwilliams_transform, min_weight_index)
 
 __version__ = "0.1.0"

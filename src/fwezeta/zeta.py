@@ -9,9 +9,10 @@ degree at most n - d whose product with the generating function
 has (W - x^n)/(q-1) as its T^(n-d) coefficient.  This module computes P
 in closed form from the binomial moments of W (:func:`compute_zeta`),
 checks a given P against that identity on integers
-(:func:`is_zeta_polynomial`), and keeps a deliberately different
-brute-force solve of the dense defining system (:func:`zeta_oracle`) as
-a cross-check of both.
+(:func:`is_zeta_polynomial`, the check of ``zeta --oracle`` and
+``verify-all``), and keeps a deliberately different brute-force solve of
+the dense defining system (:func:`zeta_oracle`), which no command runs,
+as the tests' reference for both.
 """
 from __future__ import annotations
 

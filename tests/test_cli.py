@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import cli
+from fwezeta.algebra import UniPoly
 from fwezeta.cli import main
-from fwezeta.files import MAX_DEGREE, read_enumerator_file, write_enumerator_file
+from fwezeta.files import (MAX_DEGREE, load_golden_table, read_enumerator_file,
+                           write_enumerator_file)
 from fwezeta.fwe import W8, W12, build_extremal
+from fwezeta.zeta import (EnumeratorContext, ZetaPolynomial, compute_zeta,
+                          zeta_oracle)
 
 DEEPLY_NESTED = b"[" * 200000 + b"]" * 200000
 # 5000 digits: past int's default limit of 4300 digits for a decimal string
@@ -84,6 +89,47 @@ class TestZetaCommand:
         assert main([command, "--input", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
+
+
+class TestOracleVerdict:
+    """`zeta --oracle` checks P against its defining identity on integers;
+    its verdict must be the dense solve's, zeta_oracle(ctx).P == P."""
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [12, 20, 28, 36, 44])
+    def test_golden_verdict_is_dense_solve(self, tmp_path, capsys, n, q):
+        W = next(e for e in load_golden_table() if e.n == n).expand()
+        path = str(tmp_path / "w.json")
+        write_enumerator_file(W, path)
+        code = main(["zeta", "--input", path, "--q", str(q), "--format", "json",
+                     "--oracle"])
+        doc = json.loads(capsys.readouterr().out)
+        ctx = EnumeratorContext(W, q)
+        dense = zeta_oracle(ctx).P == compute_zeta(ctx).P
+        assert doc["oracle_agrees"] is dense
+        assert code == (0 if dense else 1)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_moved_coefficient_fails(self, tmp_path, capsys, monkeypatch, q, k):
+        # a P with its T^k coefficient moved is not the zeta polynomial:
+        # exit 1, "NO" in text and false in JSON, as the dense solve says
+        W = build_extremal(36).expanded
+        path = str(tmp_path / "e36.json")
+        write_enumerator_file(W, path)
+        ctx = EnumeratorContext(W, q)
+        coeffs = list(compute_zeta(ctx).P.coeffs)
+        coeffs[k] += Fraction(1, 7)
+        moved = UniPoly(coeffs)
+        monkeypatch.setattr(cli, "compute_zeta", lambda c: ZetaPolynomial(moved, c))
+        argv = ["zeta", "--input", path, "--q", str(q), "--oracle"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "oracle agrees: NO"
+        assert main([*argv, "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["coefficients"] == [str(c) for c in moved.coeffs]
+        assert doc["oracle_agrees"] is False
+        assert doc["oracle_agrees"] is (zeta_oracle(ctx).P == moved)
 
 
 class TestTransformCommand:

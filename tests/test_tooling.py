@@ -1,17 +1,19 @@
 """Guards on what the package loads, what the exact RH certificate runs
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
-print to stdout, how many multiprecision Aberth sweeps the RH-false
-products may take, how often the headline command finds the sign,
-reduces P and divides the derivative, which product every
-polynomial multiplication runs, how often `main` builds its parser, and
-that no integer kernel of the headline command constructs a Fraction."""
+print to stdout, that no command runs the dense solve of the defining
+system, how many multiprecision Aberth sweeps the RH-false products may
+take, how often the headline command finds the sign, reduces P and
+divides the derivative, which product every polynomial multiplication
+runs, how often `main` builds its parser, and that no integer kernel of
+the headline command constructs a Fraction."""
 import argparse
 import ast
 import collections
 import fractions
 import functools
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import fwezeta
 from fwezeta import algebra, analysis, cli, fwe, zeta
 from fwezeta.fwe import W8, W12
 from fwezeta.files import write_enumerator_file
@@ -61,14 +64,27 @@ def test_benchmark_spans_name_existing_functions():
         assert callable(getattr(package, function, None)), f"{module_name}.{function}"
 
 
-def test_verify_all_runs_no_dense_solve(monkeypatch):
-    # the headline command checks P by the O(N^2) residual; the O(N^3)
-    # oracle solve serves only `zeta --oracle` and the tests
+def test_no_command_runs_the_dense_solve(monkeypatch, tmp_path, capsys):
+    # verify-all and zeta --oracle check P by the O(N^2) integer identity;
+    # the O(N^3) dense solve is the tests' reference only, so no command
+    # reaches it under any name, and neither cli nor the package exports
+    # carry it or its error
     def refuse(*args, **kwargs):
-        raise AssertionError("dense oracle solve in verify-all")
-    monkeypatch.setattr(cli, "zeta_oracle", refuse)
+        raise AssertionError("dense solve in a command")
+    monkeypatch.setattr(zeta, "zeta_oracle", refuse)
     monkeypatch.setattr(zeta, "solve_linear", refuse)
+    monkeypatch.setattr(algebra, "solve_linear", refuse)
     assert cli.main(["verify-all", "--max-degree", "36"]) == 0
+    path = str(tmp_path / "e196.json")
+    write_enumerator_file(fwe.build_extremal(196).expanded, path)
+    capsys.readouterr()
+    assert cli.main(["zeta", "--input", path, "--oracle"]) == 0
+    assert capsys.readouterr().out.endswith("oracle agrees: yes\n")
+    assert cli.main(["zeta", "--input", path, "--oracle", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True
+    assert not hasattr(cli, "zeta_oracle") and not hasattr(cli, "SingularMatrixError")
+    for name in ("zeta_oracle", "solve_linear", "SingularMatrixError"):
+        assert not hasattr(fwezeta, name), name
 
 
 def test_transform_runs_no_substitution(monkeypatch, tmp_path):
