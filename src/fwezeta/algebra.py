@@ -318,9 +318,7 @@ def apply_diff_operator(p: HomogeneousPoly, W: HomogeneousPoly) -> HomogeneousPo
                 continue
             if n - k < dx or k < dy:
                 continue
-            factor = math.perm(n - k, dx) * math.perm(k, dy)
-            if factor:
-                out[k - dy] += pc * wc * factor
+            out[k - dy] += pc * wc * math.perm(n - k, dx) * math.perm(k, dy)
     return HomogeneousPoly._from_ints(p.den * W.den, out)
 
 

@@ -12,6 +12,7 @@ estimates.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -129,8 +130,6 @@ def _aberth_initial(c, deg):
     """Starting points on a circle sized by the root-product estimate,
     rotated off the axes so symmetric configurations cannot stall."""
     r = (abs(c[0] / c[deg])) ** (mp.mpf(1) / deg)
-    if not r:
-        r = mp.mpf(1)
     return [r * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5))
             for k in range(deg)]
 
@@ -242,21 +241,12 @@ def _divide_out_quadratic(p: list, q: int) -> tuple:
     return m, [-x for x in p] if m % 2 else p
 
 
-# The last polynomial _factorisation saw, with its answer.  verify-all asks
-# for the factorisation of each P twice, in exact_sqrt2_multiplicities and
-# in check_rh's reduction; polynomials are immutable and the entry holds
-# its P, so a match by identity is always current.
-_last_factorisation = (None, 0, None)
-
-
+# verify-all asks for the factorisation of each P twice in a row, in the
+# sqrt2 check and then in check_rh's reduction, so one entry is enough.
+@functools.lru_cache(maxsize=1)
 def _factorisation(P: UniPoly, q: int) -> tuple:
     """(P.den, m, b) with _divide_out_quadratic(P.nums, q) = (m, b)."""
-    global _last_factorisation
-    last, last_q, answer = _last_factorisation
-    if last is not P or last_q != q:
-        answer = (P.den, *_divide_out_quadratic(P.nums, q))
-        _last_factorisation = (P, q, answer)
-    return answer
+    return (P.den, *_divide_out_quadratic(P.nums, q))
 
 
 def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:

@@ -21,10 +21,6 @@ from .algebra import HomogeneousPoly, _convolve
 from .files import MAX_DEGREE
 from .zeta import macwilliams_transform, min_weight_index
 
-W8 = HomogeneousPoly(8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
-W12 = HomogeneousPoly(12, [1, 0, 0, 0, -33, 0, 0, 0, -33, 0, 0, 0, 1])
-
-
 # Every basis element is supported on indices divisible by 4, so it is
 # kept as a polynomial in u = (y/x)^4: entry j of these int tuples is the
 # coefficient of x^(n-4j) y^(4j), and the length fixes the degree.
@@ -39,6 +35,10 @@ def _spread(u: Sequence[int]) -> HomogeneousPoly:
     coeffs = [0] * (4 * len(u) - 3)
     coeffs[::4] = u
     return HomogeneousPoly(len(coeffs) - 1, coeffs)
+
+
+W8 = _spread(_W8_U)
+W12 = _spread(_W12_U)
 
 
 @lru_cache(maxsize=None)

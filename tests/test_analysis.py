@@ -617,6 +617,18 @@ def quadratic_powers(draw):
     return q, a, C, quadratic ** a * C
 
 
+@st.composite
+def factorised_polynomials(draw):
+    """P = (qT^2 - 1)^m T^k R(T + 1/(qT)) (q'T^2 - 1)^b, k = deg R, for
+    q in (2, 3) and q' = 5 - q the other one; b is often 0, and P then has
+    the functional equation under T -> 1/(qT)."""
+    q = draw(st.sampled_from((2, 3)))
+    m, b = draw(st.integers(0, 3)), draw(st.sampled_from((0, 0, 1, 2)))
+    r = draw(st.lists(_coefficients, min_size=1, max_size=6))
+    r[-1] = r[-1] or F(1)
+    return re_expand(m, UniPoly(r), q) * UniPoly([-1, 0, 5 - q]) ** b
+
+
 class TestDivideOutQuadratic:
     @settings(max_examples=200, deadline=None)
     @given(quadratic_powers())
@@ -663,6 +675,26 @@ class TestDivideOutQuadratic:
         assert calls == [2, 2]
         reduction_outcome(self_reciprocal_reduction, other, 3)
         assert calls == [2, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(factorised_polynomials(), factorised_polynomials())
+    def test_shared_entry_matches_by_value(self, first, second):
+        # the shared division is cached by value: equal but distinct
+        # copies of P, at q = 2, 3, 2 and interleaved with a second
+        # polynomial, get the answers of references that do not read it,
+        # and a reduction asked twice in a row gives the same R
+        Ps = [first, second]
+        expected = [(integer_divide_out(P, 2)[0],
+                     {q: reduction_outcome(two_pass_reduction, P, q) for q in (2, 3)})
+                    for P in Ps]
+        for q in (2, 3, 2):
+            for P, (m, reductions) in zip(Ps, expected):
+                copy = UniPoly(P.coeffs)
+                assert copy == P and copy is not P
+                assert exact_sqrt2_multiplicities(copy) == (m, m)
+                for _ in range(2):
+                    assert (reduction_outcome(self_reciprocal_reduction,
+                                              UniPoly(P.coeffs), q) == reductions[q])
 
 
 class TestSqrt2Multiplicities:

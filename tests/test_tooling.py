@@ -1,18 +1,21 @@
 """Guards on what the package loads, what the exact RH certificate runs
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
-print to stdout, that no command runs the dense solve of the defining
-system, how many multiprecision Aberth sweeps the RH-false products may
-take, how often the headline command finds the sign, reduces P and
-divides the derivative, which product every polynomial multiplication
-runs, how often `main` builds its parser, and that no integer kernel of
-the headline command constructs a Fraction."""
+print to stdout, that no module of the package holds state of its own
+behind a `global` statement (test_src_has_no_global_statement), that no
+command runs the dense solve of the defining system, how many
+multiprecision Aberth sweeps the RH-false products may take, how often
+the headline command finds the sign, reduces P and divides the
+derivative, which product every polynomial multiplication runs, how
+often `main` builds its parser, and that no integer kernel of the
+headline command constructs a Fraction."""
 import argparse
 import ast
 import collections
 import fractions
 import functools
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -48,7 +51,7 @@ def test_certificate_runs_on_rationals_and_integers():
                analysis._divide_out_quadratic, analysis._factorisation,
                analysis.self_reciprocal_reduction, analysis._grid_bits,
                analysis.chebyshev_grid, analysis._certify_on_circle):
-        assert "mp" not in fn.__code__.co_names, fn.__name__
+        assert "mp" not in inspect.unwrap(fn).__code__.co_names, fn.__name__
 
 
 def test_benchmark_spans_name_existing_functions():
@@ -143,6 +146,17 @@ def test_only_main_prints_to_stdout():
     assert stdout_prints
     for node in stdout_prints:
         assert id(node) in in_main, f"print to stdout at cli.py line {node.lineno}"
+
+
+def test_src_has_no_global_statement():
+    # every memo is a functools cache on an immutable value, so no
+    # module of the package keeps state that a function rebinds
+    sources = sorted(Path(fwezeta.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rebinds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        assert rebinds == [], f"global statement in {path.name} at lines {rebinds}"
 
 
 # the W8^s W12^k up to degree 108 whose RH fails
