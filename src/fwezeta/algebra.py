@@ -54,10 +54,10 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> tuple:
 class _DensePoly:
     """Immutable dense coefficient vector, held as ``nums`` over ``den``
     in the module's integer form, with the arithmetic both polynomial
-    shapes share.  Results are built by ``_from_ints(den, nums)`` (or
-    ``_new(coeffs)`` from a rational vector), so each subclass applies
-    its own shape rule to them; values of different subclasses never
-    compare equal or combine."""
+    shapes share.  The public constructors take a rational vector and
+    every result is built by ``_from_ints(den, nums)``, so each subclass
+    applies its own shape rule to both; values of different subclasses
+    never compare equal or combine."""
 
     __slots__ = ("den", "nums")
 
@@ -83,13 +83,6 @@ class _DensePoly:
         """The polynomial with the vector nums / den."""
         poly = object.__new__(cls)
         poly._set(den, nums)
-        return poly
-
-    @classmethod
-    def _new(cls, coeffs):
-        """The polynomial with the rational vector coeffs."""
-        poly = object.__new__(cls)
-        poly._set_rational(coeffs)
         return poly
 
     def __setattr__(self, name, value):
@@ -146,7 +139,7 @@ class _DensePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = self._new([1])
+        result = self._from_ints(1, [1])
         for _ in range(k):
             result = result * self
         return result
@@ -273,16 +266,12 @@ class Matrix2:
     c: object
     d: object
 
-    def transpose(self) -> "Matrix2":
-        return Matrix2(self.a, self.c, self.b, self.d)
-
 
 def substitute_linear(W: HomogeneousPoly, M: Matrix2) -> HomogeneousPoly:
     """W(a*x + b*y, c*x + d*y), exactly: the column action of M.
 
     Composes as substitute_linear(substitute_linear(W, M), N) ==
-    substitute_linear(W, MN), MN the matrix product.  The row action
-    W(a*x + c*y, b*x + d*y) is the column action of M.transpose().
+    substitute_linear(W, MN), MN the matrix product.
     """
     u = HomogeneousPoly(1, [M.a, M.b])
     v = HomogeneousPoly(1, [M.c, M.d])

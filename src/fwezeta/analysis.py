@@ -69,10 +69,9 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
     with mp.workprec(precision_bits + 32):
         # exact roots at zero first, so the remaining constant term is nonzero
         vzero = next(i for i, c in enumerate(P.nums) if c)
-        zeros = [mp.mpc(0)] * vzero
         c = _mp_coefficients(P)[vzero:]
         deg = len(c) - 1
-        roots = list(zeros)
+        roots = [mp.mpc(0)] * vzero
         residuals = [mp.mpf(0)] * vzero
         iterations = 0
         if deg >= 1:
@@ -245,8 +244,8 @@ def _divide_out_quadratic(p: list, q: int) -> tuple:
 # sqrt2 check and then in check_rh's reduction, so one entry is enough.
 @functools.lru_cache(maxsize=1)
 def _factorisation(P: UniPoly, q: int) -> tuple:
-    """(P.den, m, b) with _divide_out_quadratic(P.nums, q) = (m, b)."""
-    return (P.den, *_divide_out_quadratic(P.nums, q))
+    """_divide_out_quadratic(P.nums, q) = (m, b)."""
+    return _divide_out_quadratic(P.nums, q)
 
 
 def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
@@ -264,7 +263,7 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
     term; a nonzero residual means P has no functional equation, and
     raises ValueError.
 
-    The pass runs on integers.  With Q = b / den (b from
+    The pass runs on integers.  With Q = b / den (den = P.den, b from
     _divide_out_quadratic) let B = q^k b; term j, scaled alike, is
     (R_j / q^j) T^(k-j) (qT^2 + 1)^j with R_j = q^k den r_j, the top
     remaining entry B_(k+j), so it subtracts (R_j / q^j) C(j, i) q^i at
@@ -272,7 +271,7 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
     q^k, and term j' > j changes it only through i = (j + j')/2 > j, by
     a multiple of q^i.  Then r_j = R_j / (q^k den).
     """
-    den, m, b = _factorisation(P, q)
+    m, b = _factorisation(P, q)
     k = (len(b) - 1) // 2
     B = [c * q ** k for c in b]
     R = [0] * (k + 1)
@@ -284,7 +283,7 @@ def self_reciprocal_reduction(P: UniPoly, q: int) -> tuple:
             term = term * (j - i) * q // (i + 1)
     if any(B):
         raise ValueError("P has no functional equation under T -> 1/(qT)")
-    return m, UniPoly._from_ints(den * q ** k, R)
+    return m, UniPoly._from_ints(P.den * q ** k, R)
 
 
 # The exact RH certificate samples R on Chebyshev grids of 2k+2 points,
@@ -351,7 +350,7 @@ def _residual_bound(c, z):
     for ci in reversed(c[:-1]):
         pv = pv * z + ci
         scale = scale * az + abs(ci)
-    return abs(pv) / scale if scale else abs(pv)
+    return abs(pv) / scale
 
 
 def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
@@ -448,7 +447,7 @@ def exact_sqrt2_multiplicities(P: UniPoly) -> tuple:
     """
     if P.is_zero():
         return (0, 0)
-    m = _factorisation(P, 2)[1]
+    m = _factorisation(P, 2)[0]
     return (m, m)
 
 

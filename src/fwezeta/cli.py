@@ -21,7 +21,8 @@ import mpmath as mp
 
 from .analysis import (DEFAULT_PRECISION_BITS, DEFAULT_RH_TOLERANCE,
                        RootFindingError, check_divisibility, check_rh,
-                       exact_sqrt2_multiplicities, mallows_sloane_bound)
+                       exact_sqrt2_multiplicities, mallows_sloane_bound,
+                       verify_root_pairing)
 from .files import (EnumeratorFormatError, enumerator_to_document,
                     load_golden_table, read_enumerator_file, write_document,
                     write_enumerator_file)
@@ -232,7 +233,6 @@ def cmd_table(args) -> tuple:
     golden = _golden_map(args.max_degree)
     entries = []
     lines = []
-    failed = False
     for n, entry in sorted(golden.items()):
         comb = build_extremal(n)
         diffs = []
@@ -245,8 +245,8 @@ def cmd_table(args) -> tuple:
         entries.append({"n": n, "d": comb.d, "match": not diffs, "diffs": diffs})
         status = "match" if not diffs else "MISMATCH " + "; ".join(diffs)
         lines.append(f"n={n} d={comb.d} {_half_notation(comb.expanded)} [{status}]")
-        failed = failed or bool(diffs)
-    return {"entries": entries, "all_match": not failed}, lines, 1 if failed else 0
+    all_match = all(e["match"] for e in entries)
+    return {"entries": entries, "all_match": all_match}, lines, 0 if all_match else 1
 
 
 def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
@@ -284,10 +284,7 @@ def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
         # P(0) / lead = -2^(-g), the product of the roots
         checks["root_product"] = -(2 ** Z.g) * Z.P.nums[0] == Z.P.nums[-1]
     with timed("root_pairing"):
-        # the sign -1 functional equation is the pairing: q^g T^(2g) P(1/(qT))
-        # = -P has the root 1/(q alpha) as often as P has alpha, and
-        # a_0 = -q^(-g) a_(2g) != 0 (analysis.verify_root_pairing)
-        checks["root_pairing"] = sign == -1
+        checks["root_pairing"] = sign == -1 and verify_root_pairing(Z)
     with timed("rh"):
         report = check_rh(Z, tol, precision)
         checks["rh"] = report.holds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -36,25 +36,22 @@ def min_weight_index(W: HomogeneousPoly) -> int:
     return d
 
 
+@dataclass(frozen=True, eq=False)
 class EnumeratorContext:
     """A monic enumerator W with its degree n, minimum index d and field
-    size q.  d is always inferred from W, never supplied by callers."""
+    size q.  d is always inferred from W, never supplied by callers.
+    Contexts compare and hash by identity."""
 
-    __slots__ = ("W", "n", "d", "q")
+    W: HomogeneousPoly = field(repr=False)
+    n: int = field(init=False)
+    d: int = field(init=False)
+    q: int = 2
 
-    def __init__(self, W: HomogeneousPoly, q: int = 2):
-        if not isinstance(q, int) or q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {q!r}")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "n", W.degree)
-        object.__setattr__(self, "d", min_weight_index(W))
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EnumeratorContext is immutable")
-
-    def __repr__(self):
-        return f"EnumeratorContext(n={self.n}, d={self.d}, q={self.q})"
+    def __post_init__(self):
+        if not isinstance(self.q, int) or self.q < 2:
+            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
+        object.__setattr__(self, "n", self.W.degree)
+        object.__setattr__(self, "d", min_weight_index(self.W))
 
 
 @dataclass(frozen=True)

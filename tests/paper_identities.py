@@ -33,7 +33,7 @@ def check_operator_substitution(p: HomogeneousPoly, A: HomogeneousPoly,
     """
     if p.degree > A.degree:
         raise ValueError("operator degree exceeds target degree")
-    row = M.transpose()                   # (x,y)M is the column action of M^T
+    row = Matrix2(M.a, M.c, M.b, M.d)     # (x,y)M is the column action of M^T
     lhs = apply_diff_operator(p, substitute_linear(A, row))
     transformed = substitute_linear(p, M)
     rhs = substitute_linear(apply_diff_operator(transformed, A), row)

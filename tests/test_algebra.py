@@ -268,7 +268,9 @@ def reference_product(A, B):
         for j, b in enumerate(B.coeffs):
             if b:
                 out[i + j] += a * b
-    return A._new(out)
+    if isinstance(A, HomogeneousPoly):
+        return HomogeneousPoly(len(out) - 1, out)
+    return UniPoly(out)
 
 
 def reference_str(W):
@@ -472,7 +474,8 @@ class TestIntegerForm:
         Q = type(P)._from_ints(k * P.den, [k * c for c in P.nums])
         assert (Q.den, Q.nums) == (P.den, P.nums)
         assert Q == P and hash(Q) == hash(P)
-        R = type(P)._new(P.coeffs)
+        R = (HomogeneousPoly(P.degree, P.coeffs) if isinstance(P, HomogeneousPoly)
+             else UniPoly(P.coeffs))
         assert (R.den, R.nums) == (P.den, P.nums) and hash(R) == hash(P)
         assert P.den == math.lcm(*(c.denominator for c in P.coeffs))
 

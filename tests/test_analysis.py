@@ -839,7 +839,7 @@ class TestOperatorSubstitution:
         assert check_operator_substitution(DIFF_OP, W12, M)
         # under this matrix the right side collapses to -(sqrt 2)^12 p(D) W12
         from fwezeta.algebra import substitute_linear
-        rhs = apply_diff_operator(DIFF_OP, substitute_linear(W12, M.transpose()))
+        rhs = apply_diff_operator(DIFF_OP, substitute_linear(W12, Matrix2(M.a, M.c, M.b, M.d)))
         assert rhs == -64 * apply_diff_operator(DIFF_OP, W12)
 
     def test_randomized_suite(self):

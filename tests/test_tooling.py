@@ -2,8 +2,9 @@
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
 print to stdout, that no module of the package holds state of its own
-behind a `global` statement (test_src_has_no_global_statement), that no
-command runs the dense solve of the defining system, how many
+behind a `global` statement (test_src_has_no_global_statement), that
+every private name defined in the package has a caller there
+(test_src_private_names_have_a_caller), that no command runs the dense solve of the defining system, how many
 multiprecision Aberth sweeps the RH-false products may take, how often
 the headline command finds the sign, reduces P and divides the
 derivative, which product every polynomial multiplication runs, how
@@ -159,6 +160,30 @@ def test_src_has_no_global_statement():
         assert rebinds == [], f"global statement in {path.name} at lines {rebinds}"
 
 
+def test_src_private_names_have_a_caller():
+    # a private function, method, class or module constant is there for
+    # the package's own code, so something in src/ must load it
+    defined, loaded = {}, set()
+    for path in sorted(Path(fwezeta.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined.update((t.id, path.name) for t in targets if isinstance(t, ast.Name))
+    private = {name: module for name, module in defined.items()
+               if name.startswith("_") and not name.endswith("__")}
+    assert private
+    assert {name: module for name, module in private.items()
+            if name not in loaded} == {}
+
+
 # the W8^s W12^k up to degree 108 whose RH fails
 RH_FALSE_PRODUCTS = [(3, 1), (0, 3), (4, 1), (1, 3), (5, 1), (2, 3),
                      (6, 1), (3, 3), (0, 5)]
@@ -223,6 +248,29 @@ def test_verify_all_finds_each_sign_once_and_takes_no_power(monkeypatch):
     monkeypatch.setattr(algebra._DensePoly, "__pow__", refuse)
     assert cli.main(["verify-all", "--max-degree", "60"]) == 0
     assert evaluations == list(range(12, 61, 8))
+
+
+def test_verify_all_checks_root_pairing_once_per_degree(monkeypatch):
+    # the pairing check of each of the 7 degrees runs verify_root_pairing,
+    # which reads the cached sign
+    pairings = []
+    original = cli.verify_root_pairing
+
+    def counted(Z):
+        pairings.append(Z.context.n)
+        return original(Z)
+    monkeypatch.setattr(cli, "verify_root_pairing", counted)
+    assert cli.main(["verify-all", "--max-degree", "60"]) == 0
+    assert pairings == list(range(12, 61, 8))
+
+
+def test_verify_all_reports_a_wrong_sign_as_a_failed_pairing(monkeypatch, capsys):
+    # a sign other than -1 is a failed check (exit 1), not the ValueError
+    # verify_root_pairing raises without the sign -1 equation (exit 2)
+    monkeypatch.setattr(cli, "functional_equation_sign", lambda Z: 1)
+    assert cli.main(["verify-all", "--max-degree", "20", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["checks"]["root_pairing"] for r in results] == [False, False]
 
 
 def test_one_polynomial_product(monkeypatch):

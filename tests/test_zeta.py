@@ -147,6 +147,26 @@ class TestContext:
         with pytest.raises(ValueError):
             EnumeratorContext(W12, 1)
 
+    def test_repr_names_n_d_and_q(self):
+        assert repr(EnumeratorContext(W12, 3)) == "EnumeratorContext(n=12, d=4, q=3)"
+        assert repr(EnumeratorContext(W=W8)) == "EnumeratorContext(n=8, d=4, q=2)"
+
+    def test_equal_and_hashed_by_identity(self):
+        a, b = EnumeratorContext(W12, 2), EnumeratorContext(W12, 2)
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+
+    def test_assignment_raises(self):
+        ctx = EnumeratorContext(W12, 2)
+        for name, value in (("W", W8), ("n", 8), ("d", 1), ("q", 3), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(ctx, name, value)
+        assert (ctx.W, ctx.n, ctx.d, ctx.q) == (W12, 12, 4, 2)
+
+    def test_checks_q_before_w(self):
+        with pytest.raises(ValueError, match="q must be an integer >= 2, got 1"):
+            EnumeratorContext(HomogeneousPoly(3, [1, 0, 0, 0]), 1)
+
 
 class TestComputeZeta:
     @pytest.mark.parametrize("n,q", [(4, 3), (7, 2), (10, 5)])
