@@ -6,8 +6,8 @@ divisibility property and the minimum-index bounds.
 Everything discrete (multiplicities, pairing, divisibility, bounds) is
 exact.  The root modulus check is exact too whenever a sign-change
 certificate over Q succeeds; only when it does not are roots located
-numerically, at a caller-chosen binary precision with per-root residual
-estimates.
+numerically, at a caller-chosen binary precision, each with a rigorous
+bound on its residual computed on integers.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
+from mpmath import libmp
 
 from .algebra import HomogeneousPoly, UniPoly, apply_diff_operator
 from .fwe import extremal_min_index, is_formal_weight_enumerator
@@ -36,10 +37,12 @@ class RootFindingError(RuntimeError):
 class RootSet:
     """Numeric roots and the Aberth iteration count that found them.
 
-    residual_bounds[k] is the relative backward error
-    |P(z_k)| / sum_i |a_i| |z_k|^i, a certificate that z_k is an exact
-    root of a polynomial whose coefficients differ relatively by about
-    that much.
+    residual_bounds[k] is an upper bound, computed on integers
+    (_residual_bound), on the relative backward error
+    |P(z_k)| / sum_i |a_i| |z_k|^i of the stored z_k against the exact P
+    (0 for a root at exactly 0): a certificate that z_k is an exact root
+    of a polynomial whose coefficients differ relatively from P's by at
+    most that much.
     """
 
     roots: tuple
@@ -69,7 +72,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
     with mp.workprec(precision_bits + 32):
         # exact roots at zero first, so the remaining constant term is nonzero
         vzero = next(i for i, c in enumerate(P.nums) if c)
-        c = _mp_coefficients(P)[vzero:]
+        nums, c = P.nums[vzero:], _mp_coefficients(P)[vzero:]
         deg = len(c) - 1
         roots = [mp.mpc(0)] * vzero
         residuals = [mp.mpf(0)] * vzero
@@ -87,7 +90,7 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
                     f"no convergence after {MAX_ITERATIONS} iterations "
                     f"(last update {mp.nstr(max(map(abs, steps)), 5)})")
             roots += z
-            residuals += [_residual_bound(c, zk) for zk in z]
+            residuals += [_residual_bound(nums, zk) for zk in z]
         return RootSet(tuple(roots), tuple(residuals), iterations)
 
 
@@ -342,15 +345,50 @@ def _certify_on_circle(R: UniPoly, q: int) -> bool:
     return False
 
 
-def _residual_bound(c, z):
-    """|p(z)| / sum_i |c_i| |z|^i for the mp coefficients c of p."""
-    pv = c[-1]
-    scale = abs(c[-1])
-    az = abs(z)
-    for ci in reversed(c[:-1]):
-        pv = pv * z + ci
-        scale = scale * az + abs(ci)
-    return abs(pv) / scale
+# Guard bits of the fixed point in which _residual_bound runs Horner.
+_RESIDUAL_GUARD_BITS = 16
+
+
+def _residual_bound(nums, z):
+    """An upper bound on |N(z)| / S, S = sum_i |n_i| |z|^i, for the ints
+    nums = (n_0, ..., n_D) of N, n_0 and n_D nonzero, at the mpc z, as an
+    mpf rounded up at the working precision prec.  A common denominator
+    of the n_i cancels, so this is the backward error of z as a root.
+
+    It runs on integers.  z is read exactly as (a + bi) 2^e from its
+    mantissas and exponents.  With F = prec + bit_length(D) + guard
+    fractional bits, Horner H <- floor(H (a + bi) 2^e) + n_j 2^F (both
+    parts floored) ends with |H - 2^F N(z)| <= sqrt2 sum_(j<D) |z|^j, as
+    step j errs by less than sqrt2 and is then multiplied by z^j.  That
+    sum is at most D S, because n_0 and n_D are nonzero ints: it is at
+    most D |n_0| when |z| < 1, else D |n_D| |z|^D.  The same floored
+    Horner on the |n_i| at r = isqrt(4^F (a^2 + b^2)) 2^(e-F) <= |z| gives
+    S' <= 2^F S.  So |N(z)| / S <= ceil|H| / S' + sqrt2 D 2^-F, the value
+    returned, with sqrt2 D rounded up to an int.  As r >= |z| (1 - 2^-F),
+    S' >= 2^F S(r) - D S(r) and the ratio is at most 1, the value exceeds
+    the ratio by less than 16 D 2^-F before the final rounding up.
+    """
+    deg = len(nums) - 1
+    F = mp.mp.prec + deg.bit_length() + _RESIDUAL_GUARD_BITS
+    (sa, ma, ea, _), (sb, mb, eb, _) = z._mpc_
+    e = min(ea if ma else eb, eb if mb else ea)
+    a = (-ma if sa else ma) << (ea - e) if ma else 0
+    b = (-mb if sb else mb) << (eb - e) if mb else 0
+
+    def floored(x, shift):          # floor(x 2^shift)
+        return x << shift if shift >= 0 else x >> -shift
+
+    hr, hi = nums[-1] << F, 0
+    r = math.isqrt((a * a + b * b) << 2 * F)
+    s = abs(nums[-1]) << F
+    for n in reversed(nums[:-1]):
+        hr, hi = floored(hr * a - hi * b, e) + (n << F), floored(hr * b + hi * a, e)
+        s = floored(s * r, e - F) + (abs(n) << F)
+    h2 = hr * hr + hi * hi
+    ceil_h = math.isqrt(h2 - 1) + 1 if h2 else 0
+    sqrt2_deg = math.isqrt(2 * deg * deg) + 1
+    return mp.make_mpf(libmp.from_rational((ceil_h << F) + sqrt2_deg * s, s << F,
+                                           mp.mp.prec, libmp.round_ceiling))
 
 
 def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
@@ -367,8 +405,7 @@ def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
             # the larger-modulus root first, so neither suffers cancellation
             alpha = max((w + root) / 2, (w - root) / 2, key=abs)
             roots += [alpha, 1 / (q * alpha)]
-        c = _mp_coefficients(P)
-        residuals = [_residual_bound(c, z) for z in roots]
+        residuals = [_residual_bound(P.nums, z) for z in roots]
     return RootSet(tuple(roots), tuple(residuals), rs.iterations)
 
 

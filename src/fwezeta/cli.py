@@ -18,6 +18,7 @@ import sys
 import time
 
 import mpmath as mp
+from mpmath import libmp
 
 from .analysis import (DEFAULT_PRECISION_BITS, DEFAULT_RH_TOLERANCE,
                        RootFindingError, check_divisibility, check_rh,
@@ -154,12 +155,14 @@ def cmd_extremal(args) -> tuple:
 
 def _rh_evidence(report) -> dict:
     """The certificate kind, and for a numeric one the root finder's
-    iteration count and worst residual bound (None when exact)."""
+    iteration count and worst residual bound (None when exact), as a
+    float rounded up so that it stays a bound."""
     rs = report.root_set
     return {
         "certificate": report.certificate,
         "iterations": rs.iterations if rs else None,
-        "max_residual_bound": float(max(rs.residual_bounds)) if rs else None,
+        "max_residual_bound": libmp.to_float(max(rs.residual_bounds)._mpf_,
+                                             rnd=libmp.round_ceiling) if rs else None,
     }
 
 

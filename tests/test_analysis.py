@@ -212,6 +212,56 @@ class TestFindRoots:
         assert all(abs(z - 1) < 1e-25 for z in rs.roots)
 
 
+@st.composite
+def end_nonzero_ints(draw):
+    """Ascending int coefficients of degree 1..40 with both end ones
+    nonzero, all of up to 8, 80 or 1400 bits (10^400 has 1329)."""
+    size = draw(st.sampled_from((2 ** 8, 2 ** 80, 2 ** 1400)))
+    coeff = st.integers(-size, size)
+    ends = coeff.filter(bool)
+    return [draw(ends)] + draw(st.lists(coeff, max_size=39)) + [draw(ends)]
+
+
+# one part m 2^x of a dyadic Gaussian point: m signed and often 0
+_dyadic_parts = st.tuples(st.one_of(st.just(0), st.integers(-2 ** 200, 2 ** 200)),
+                          st.integers(-2000, 2000))
+
+
+class TestResidualBound:
+    @settings(max_examples=200, deadline=None)
+    @given(end_nonzero_ints(), _dyadic_parts, _dyadic_parts, st.sampled_from((53, 120, 288)))
+    @example([1, 0, 1], (0, 0), (1, 0), 288)                  # the exact root i
+    @example([2 ** 1070, 1], (-1, 1070), (0, 0), 288)         # the exact root -2^1070
+    @example([10 ** 400 * c for c in (-6, 11, -6, 1)], (3, 0), (0, 0), 288)
+    @example([10 ** 400 * c for c in (-6, 11, -6, 1)], (3, 0), (1, -300), 288)
+    @example([10 ** 400, 1, 10 ** 400], (0, 0), (1, 0), 288)  # 1 + T/10^400 + T^2 at i
+    def test_bounds_the_ratio_within_its_error_term(self, nums, re, im, prec):
+        # the integer kernel bounds |N(z)| / sum |n_i| |z|^i from above, and
+        # by no more than 16 D 2^-F before its result is rounded up at prec
+        with mp.workprec(prec):
+            z = mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
+            bound = analysis._residual_bound(nums, z)
+        deg = len(nums) - 1
+        F = prec + deg.bit_length() + analysis._RESIDUAL_GUARD_BITS
+        with mp.workprec(8 * prec):
+            value = mp.polyval([mp.mpf(n) for n in reversed(nums)], z)
+            ratio = abs(value) / sum(abs(mp.mpf(n)) * abs(z) ** i for i, n in enumerate(nums))
+            assert ratio <= bound
+            assert bound <= (ratio + 16 * deg * mp.ldexp(1, -F)) * (1 + mp.ldexp(1, 1 - prec))
+
+    def test_rh_false_products_bound_every_root(self):
+        # at the parent, 157 of these 390 bounds (mpc Horner at 288 bits)
+        # read below the exact ratio, the largest of W8^3 W12 among them
+        for s, k in RH_FALSE_PRODUCTS:
+            Z = zeta_of(W8 ** s * W12 ** k)
+            rs = check_rh(Z).root_set
+            with mp.workprec(4000):
+                for z, bound in zip(rs.roots, rs.residual_bounds):
+                    value = mp.polyval([mp.mpf(n) for n in reversed(Z.P.nums)], z)
+                    scale = sum(abs(mp.mpf(n)) * abs(z) ** i for i, n in enumerate(Z.P.nums))
+                    assert abs(value) / scale <= bound, (s, k)
+
+
 class TestCheckRh:
     def test_w12_holds(self):
         rep = check_rh(zeta_of(W12))

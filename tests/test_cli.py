@@ -8,12 +8,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import cli
 from fwezeta.algebra import UniPoly
+from fwezeta.analysis import RhReport, RootSet, check_rh
 from fwezeta.cli import main
 from fwezeta.files import (MAX_DEGREE, load_golden_table, read_enumerator_file,
                            write_enumerator_file)
@@ -290,6 +292,19 @@ class TestRhCommand:
         assert doc["certificate"] == "numeric" and doc["iterations"] > 0
         assert 0 <= doc["max_residual_bound"] < 1e-60
 
+    def test_reported_residual_bound_is_rounded_up(self):
+        # the float reported is never below the mpf bound; float() would
+        # round a 288-bit 1/3 down
+        with mp.workprec(288):
+            third = mp.mpf(1) / 3
+        report = RhReport(True, 1.0, 0.0, (), RootSet((mp.mpc(1),), (third,), 1))
+        assert mp.mpf(cli._rh_evidence(report)["max_residual_bound"]) >= third
+        assert mp.mpf(float(third)) < third
+        for W in (W8 ** 3 * W12, W12 ** 3):
+            report = check_rh(compute_zeta(EnumeratorContext(W, 2)))
+            reported = cli._rh_evidence(report)["max_residual_bound"]
+            assert mp.mpf(reported) >= max(report.root_set.residual_bounds)
+
     def test_certificate_in_text(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         write_enumerator_file(W12, path)
@@ -461,7 +476,7 @@ class TestTranscriptDigest:
             record = [[a.replace(tmp, "<tmp>") for a in argv], code,
                       out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
             digest.update(json.dumps(record).encode())
-        assert digest.hexdigest() == "f78a7dbb00fdae19942cd899f57f45d6448051c550013d01963e8d0fd9b37024"
+        assert digest.hexdigest() == "efbccad58ab131bd6cbaa04afed731012b8c8b6376093e6642a382782e264acb"
 
 
 def _request(argv, capsys):

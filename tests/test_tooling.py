@@ -4,7 +4,10 @@ functions the benchmark traces, where the command line front end may
 print to stdout, that no module of the package holds state of its own
 behind a `global` statement (test_src_has_no_global_statement), that
 every private name defined in the package has a caller there
-(test_src_private_names_have_a_caller), that no command runs the dense solve of the defining system, how many
+(test_src_private_names_have_a_caller), that no command runs the dense
+solve of the defining system, that `rh` bounds each root's residual on
+integers, with no mpc or mpf arithmetic, and reads no coefficient of P
+as an mp number (test_rh_bounds_residuals_on_integers), how many
 multiprecision Aberth sweeps the RH-false products may take, how often
 the headline command finds the sign, reduces P and divides the
 derivative, which product every polynomial multiplication runs, how
@@ -23,6 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import fwezeta
@@ -203,6 +207,43 @@ def test_full_degree_roots_of_rh_false_products_polish_a_double_start():
     # on all of P the circle start took 131-143 sweeps at 256 bits
     for s, k in RH_FALSE_PRODUCTS:
         assert analysis.find_roots(_zeta(s, k).P).iterations <= 25, (s, k)
+
+
+def test_rh_bounds_residuals_on_integers(monkeypatch, tmp_path):
+    # rh on W12^3 bounds the residual of every root by the integer kernel:
+    # no mpc or mpf product or sum inside it, and P's coefficients are
+    # never read as mp numbers, only R's, once, for the Aberth sweeps
+    path = tmp_path / "w12cubed.json"
+    write_enumerator_file(W12 ** 3, path)
+    calls, arithmetic, inside = collections.Counter(), collections.Counter(), []
+    kernel, coefficients = analysis._residual_bound, analysis._mp_coefficients
+
+    def bound(nums, z):
+        calls["_residual_bound"] += 1
+        inside.append(True)
+        try:
+            return kernel(nums, z)
+        finally:
+            inside.pop()
+
+    def read(P):
+        calls["_mp_coefficients"] += 1
+        return coefficients(P)
+
+    def counted(name, op):
+        def wrapper(self, other):
+            arithmetic[name] += bool(inside)
+            return op(self, other)
+        return wrapper
+
+    for cls in (mp.mpc, mp.mpf):
+        for op in ("__mul__", "__add__"):
+            monkeypatch.setattr(cls, op, counted(f"{cls.__name__}.{op}", getattr(cls, op)))
+    monkeypatch.setattr(analysis, "_residual_bound", bound)
+    monkeypatch.setattr(analysis, "_mp_coefficients", read)
+    assert cli.main(["rh", "--input", str(path), "--format", "json"]) == 1
+    assert +arithmetic == {}
+    assert calls["_residual_bound"] >= 30 and calls["_mp_coefficients"] == 1
 
 
 def test_verify_all_reduces_and_divides_once_per_degree(monkeypatch):
