@@ -6,7 +6,8 @@ divisibility property and the minimum-index bounds.
 Everything discrete (multiplicities, pairing, divisibility, bounds) is
 exact.  The root modulus check is exact too whenever a sign-change
 certificate over Q succeeds; only when it does not are roots located
-numerically, at a caller-chosen binary precision, each with a rigorous
+numerically: started in double precision, polished on Gaussian dyadic
+integers at a caller-chosen binary precision, and each given a rigorous
 bound on its residual computed on integers.
 """
 from __future__ import annotations
@@ -37,6 +38,9 @@ class RootFindingError(RuntimeError):
 class RootSet:
     """Numeric roots and the Aberth iteration count that found them.
 
+    roots are mpc: from find_roots, each exactly the Gaussian dyadic that
+    the polishing sweeps (_polish_sweep) left; on check_rh's reduction
+    path, the roots of R mapped to those of P at the working precision.
     residual_bounds[k] is an upper bound, computed on integers
     (_residual_bound), on the relative backward error
     |P(z_k)| / sum_i |a_i| |z_k|^i of the stored z_k against the exact P
@@ -53,17 +57,22 @@ class RootSet:
 def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """All complex roots of P by the Aberth-Ehrlich simultaneous iteration.
 
-    The rational coefficients are converted at the working precision.
     The points start from the same iteration run in double precision
     (_aberth_double), or from a circle when double precision cannot hold
-    P, and are polished until every step is below 2^(-precision_bits/2)
-    times the modulus of its point (below 2^(-precision_bits/2) itself at
-    a point that is exactly 0).  The test is relative because rounding
-    alone moves a root z by about |z| 2^(-precision_bits); an absolute
-    test could never stop on a root of modulus 1e337.  Hitting the
-    iteration cap first raises RootFindingError rather than returning
-    unconverged values.  The iteration count is that of the polishing
-    sweeps.
+    P, and are polished on Gaussian dyadic integers (_polish_sweep) until,
+    at every point z, both the step and the Newton correction N(z)/N'(z)
+    are below 2^(-precision_bits/2) |z| (below 2^(-precision_bits/2)
+    itself where z is exactly 0), decided exactly on squared moduli
+    (_below).  The Newton clause stops a cluster of points that collapsed
+    away from every root from passing: each of its steps is about the
+    cluster's diameter, while a fixed point of the iteration has
+    N(z) = 0.  The test is relative because rounding alone moves a root
+    z by about |z| 2^(-precision_bits); an absolute test could never stop
+    on a root of modulus 1e337.  Hitting the iteration cap first raises
+    RootFindingError rather than returning unconverged values.  The
+    sweeps round at the working precision plus _GUARD_BITS and the bits
+    that the root moduli span.  The iteration count is that of the
+    polishing sweeps, and the polished points become mpc exactly, once.
     """
     if P.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -78,17 +87,20 @@ def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Root
         residuals = [mp.mpf(0)] * vzero
         iterations = 0
         if deg >= 1:
-            z = _aberth_double(c, deg) or _aberth_initial(c, deg)
-            tol = mp.mpf(2) ** (-(precision_bits // 2))
-            dc = [c[i] * i for i in range(1, deg + 1)]
+            z = [_dyadic(zk) for zk in _aberth_double(c, deg) or _aberth_initial(c, deg)]
+            dnums = [i * n for i, n in enumerate(nums)][1:]
+            width = mp.mp.prec + _GUARD_BITS + _modulus_span(nums)
+            half = precision_bits // 2
             for iterations in range(1, MAX_ITERATIONS + 1):
-                steps = _aberth_sweep(c, dc, z)
-                if all(abs(step) < tol * (abs(zk) or 1) for step, zk in zip(steps, z)):
+                steps, done = _polish_sweep(nums, dnums, z, width, half)
+                if done:
                     break
             else:
+                last = max(abs(_to_mpc(step)) for step in steps)
                 raise RootFindingError(
                     f"no convergence after {MAX_ITERATIONS} iterations "
-                    f"(last update {mp.nstr(max(map(abs, steps)), 5)})")
+                    f"(last update {mp.nstr(last, 5)})")
+            z = [_to_mpc(zk) for zk in z]
             roots += z
             residuals += [_residual_bound(nums, zk) for zk in z]
         return RootSet(tuple(roots), tuple(residuals), iterations)
@@ -101,8 +113,8 @@ def _mp_coefficients(P: UniPoly) -> list:
 
 
 def _aberth_sweep(c, dc, z):
-    """One Aberth-Ehrlich sweep, updating the points z in place, for the
-    coefficients c of p and dc of p', all mp or all Python numbers.
+    """One Aberth-Ehrlich sweep in double precision, updating the complex
+    points z in place, for the float coefficients c of p and dc of p'.
     Returns the steps taken, 0 where p vanishes at the point."""
     deg = len(c) - 1
     steps = []
@@ -126,6 +138,134 @@ def _aberth_sweep(c, dc, z):
         z[k] = zk - step
         steps.append(step)
     return steps
+
+
+# Guard bits past the working precision of the integer kernels: the
+# rounding of _polish_sweep and the fixed point of _residual_bound.
+_GUARD_BITS = 16
+
+
+def _polish_sweep(nums, dnums, z, width, half):
+    """_aberth_sweep on Gaussian dyadics (a, b, e) = (a + bi) 2^e, for the
+    ints nums of N and dnums of N', updating z in place; returns the steps
+    and whether find_roots' stop test holds at every point.
+
+    Each sum, product and quotient is taken exactly on ints and rounded
+    once to nearest.  _rounded drops the k low bits of both parts, where
+    the larger has width + k bits, so each part moves by at most 2^(k-1)
+    against a modulus of at least 2^(width+k-1); _divided rounds each part
+    of a quotient whose larger part is at least 2^width, by at most 1/2.
+    Either way the result is the exact one times 1 + d, |d| <= u =
+    sqrt2 2^-width: complex floating point with unit roundoff u.  So
+    _horner returns sum n_i (1 + t_i) z^i at the exact point z, with
+    |t_i| <= (1 + u)^(2D) - 1 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1): an error of about 2 D u sum |n_i| |z|^i,
+    2^15 times below that of the same Horner at the working precision
+    prec, as width >= prec + _GUARD_BITS.  find_roots adds the bits that
+    the root moduli span (_modulus_span): near a root r, the term
+    1/(z - R) in N'/N of a root R 2^span times farther out is 2^-span of
+    the largest, and it is all that steers a point stranded near r out
+    to R, so it must outlive the rounding.  The stop test rounds nothing
+    (_below) and the points leave exactly (_to_mpc), so _residual_bound
+    certifies the roots returned whatever was rounded.
+    """
+    steps, done = [], True
+    for k, zk in enumerate(z):
+        pv = _horner(nums, zk, width)
+        if not (pv[0] or pv[1]):
+            steps.append((0, 0, 0))
+            continue
+        dv = _horner(dnums, zk, width)
+        s = (0, 0, 0)
+        for j, zj in enumerate(z):
+            if j != k:
+                s = _added(s, _divided((1, 0, 0), _added(zk, zj, width, -1), width), width)
+        denom = _added(dv, _multiplied(pv, s, width), width, -1)
+        step = _divided(pv, denom if denom[0] or denom[1] else dv, width)
+        z[k] = _added(zk, step, width, -1)
+        steps.append(step)
+        done = done and _below(step, z[k], half) and _below(pv, zk, half, dv)
+    return steps, done
+
+
+def _modulus_span(nums):
+    """At least log2 of the ratio of the largest to the smallest root
+    modulus of N, for the ints nums, n_0 and n_D nonzero: Fujiwara's
+    bound |z| < 2 max_i |n_(D-i) / n_D|^(1/i), on N and on its reversal,
+    with |n| < 2^bit_length(n) <= 2 |n|."""
+    D, bits = len(nums) - 1, [abs(n).bit_length() for n in nums]
+    up = max((bits[D - i] - bits[D] + 1) / i for i in range(1, D + 1) if nums[D - i])
+    down = max((bits[i] - bits[0] + 1) / i for i in range(1, D + 1) if nums[i])
+    return math.ceil(up + down) + 2
+
+
+def _rounded(a, b, e, width):
+    """(a + bi) 2^e with both parts rounded to nearest on one exponent, so
+    that the larger has at most width bits (width + 1 after a carry)."""
+    k = max(a.bit_length(), b.bit_length()) - width
+    if k <= 0:
+        return a, b, e
+    half = 1 << (k - 1)
+    return (a + half) >> k, (b + half) >> k, e + k
+
+
+def _added(x, y, width, sign=1):
+    """x + sign y, sign = +-1."""
+    (a, b, e), (c, d, f) = x, (sign * y[0], sign * y[1], y[2])
+    if e > f:
+        (a, b, e), (c, d, f) = (c, d, f), (a, b, e)
+    return _rounded(a + (c << (f - e)), b + (d << (f - e)), e, width)
+
+
+def _multiplied(x, y, width):
+    (a, b, e), (c, d, f) = x, y
+    return _rounded(a * c - b * d, a * d + b * c, e + f, width)
+
+
+def _divided(x, y, width):
+    """x / y = x conj(y) / |y|^2, scaled by 2^shift so that the larger part
+    is in [2^width, 2^(width+2)], each part rounded to nearest."""
+    (a, b, e), (c, d, f) = x, y
+    norm = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    shift = width + 1 + norm.bit_length() - max(re.bit_length(), im.bit_length())
+    den, up = norm << max(-shift, 0), max(shift, 0) + 1
+    return ((re << up) + den) // (2 * den), ((im << up) + den) // (2 * den), e - f - shift
+
+
+def _horner(nums, z, width):
+    """N(z) for the ascending ints nums, rounding each product and sum."""
+    h = (nums[-1], 0, 0)
+    for n in reversed(nums[:-1]):
+        h = _added(_multiplied(h, z, width), (n, 0, 0), width)
+    return h
+
+
+def _below(x, z, half, y=(1, 0, 0)):
+    """|x| < 2^-half |y| |z|, or < 2^-half |y| where z = 0, decided
+    exactly on the squared moduli."""
+    (xr, xi, ex), (a, b, e), (yr, yi, ey) = x, z, y
+    size = a * a + b * b
+    if not size:
+        size, e = 1, 0
+    t = 2 * (ex - e - ey + half)
+    return (xr * xr + xi * xi) << max(t, 0) < size * (yr * yr + yi * yi) << max(-t, 0)
+
+
+def _dyadic(z):
+    """The mpc z exactly as (a, b, e), z = (a + bi) 2^e, from its mantissas
+    and exponents."""
+    (sa, ma, ea, _), (sb, mb, eb, _) = z._mpc_
+    e = min(ea if ma else eb, eb if mb else ea)
+    a = (-ma if sa else ma) << (ea - e) if ma else 0
+    b = (-mb if sb else mb) << (eb - e) if mb else 0
+    return a, b, e
+
+
+def _to_mpc(x):
+    """The Gaussian dyadic (a, b, e) exactly as an mpc."""
+    a, b, e = x
+    return mp.make_mpc((libmp.from_man_exp(a, e), libmp.from_man_exp(b, e)))
 
 
 def _aberth_initial(c, deg):
@@ -345,10 +485,6 @@ def _certify_on_circle(R: UniPoly, q: int) -> bool:
     return False
 
 
-# Guard bits of the fixed point in which _residual_bound runs Horner.
-_RESIDUAL_GUARD_BITS = 16
-
-
 def _residual_bound(nums, z):
     """An upper bound on |N(z)| / S, S = sum_i |n_i| |z|^i, for the ints
     nums = (n_0, ..., n_D) of N, n_0 and n_D nonzero, at the mpc z, as an
@@ -369,11 +505,8 @@ def _residual_bound(nums, z):
     the ratio by less than 16 D 2^-F before the final rounding up.
     """
     deg = len(nums) - 1
-    F = mp.mp.prec + deg.bit_length() + _RESIDUAL_GUARD_BITS
-    (sa, ma, ea, _), (sb, mb, eb, _) = z._mpc_
-    e = min(ea if ma else eb, eb if mb else ea)
-    a = (-ma if sa else ma) << (ea - e) if ma else 0
-    b = (-mb if sb else mb) << (eb - e) if mb else 0
+    F = mp.mp.prec + deg.bit_length() + _GUARD_BITS
+    a, b, e = _dyadic(z)
 
     def floored(x, shift):          # floor(x 2^shift)
         return x << shift if shift >= 0 else x >> -shift
@@ -545,10 +678,11 @@ def check_divisibility(W: HomogeneousPoly) -> DivisibilityReport:
     """Divisibility of xy(x^4-y^4)(D) W by
     (xy)^(d-5) (x^4-y^4)^(d-5) (x^4+y^4) (x^4+6x^2y^2+y^4).
 
-    Defined for formal weight enumerators with d >= 8; the divisor degree
-    6(d-5)+8 then fits under the derivative degree n-6, and for extremal
-    enumerators the two are closest, which is exactly what turns this
-    divisibility into the minimum-index bound.
+    Defined for formal weight enumerators with d >= 8, each of which has
+    this divisibility by the paper's theorem, so the check exercises it.
+    The divisor degree 6(d-5)+8 then fits under the derivative degree
+    n-6, leaving the quotient degree n + 16 - 6d; verify-all's bound_tight
+    asks it to lie in [0, 24), so that no minimum index d + 4 could fit.
 
     The division runs on integers in t = y/x (_quotient_in_t): the
     derivative's int numerators, (xy)^(d-5) as the test

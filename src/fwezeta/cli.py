@@ -291,11 +291,20 @@ def _verify_degree(n: int, entry, precision: int, tol: float) -> dict:
     with timed("rh"):
         report = check_rh(Z, tol, precision)
         checks["rh"] = report.holds
-    with timed("bound_tight"):
-        checks["bound_tight"] = mallows_sloane_bound("fwe", n) == comb.d
+    # bound_tight by the paper's route: every formal weight enumerator with
+    # d >= 8 has the divisibility, whose quotient has degree n + 16 - 6d,
+    # so no minimum index d + 4 fits once n + 16 - 6(d + 4) < 0
     if comb.d >= 8:
         with timed("divisibility"):
-            checks["divisibility"] = check_divisibility(W).ok
+            divisibility = check_divisibility(W)
+        with timed("bound_tight"):
+            quotient = divisibility.quotient
+            checks["bound_tight"] = quotient is not None and 0 <= quotient.degree < 24
+        checks["divisibility"] = divisibility.ok
+        seconds["divisibility"] = seconds.pop("divisibility")    # the keys' order
+    else:
+        with timed("bound_tight"):
+            checks["bound_tight"] = n + 16 - 6 * (comb.d + 4) < 0
     return {"n": n, "d": comb.d, "max_rh_deviation": report.max_relative_deviation,
             **{f"rh_{k}": v for k, v in _rh_evidence(report).items()},
             "sqrt2_multiplicities": [mplus, mminus], "checks": checks,

@@ -212,6 +212,88 @@ class TestFindRoots:
         assert all(abs(z - 1) < 1e-25 for z in rs.roots)
 
 
+# a part m 2^x of a chosen root: m rational of height at most 7, and
+# |x| <= 296, so that the moduli lie between 2^-300 and 2^300
+_root_mantissas = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+_root_scales = st.integers(-296, 296).map(lambda x: F(2) ** x)
+
+
+@st.composite
+def chosen_roots(draw):
+    """Distinct exact roots (re, im), both of each conjugate pair listed:
+    one to six rational reals and up to three pairs (u +- vi) 2^x, v > 0."""
+    roots = {(draw(_root_mantissas.filter(bool)) * draw(_root_scales), F(0))
+             for _ in range(draw(st.integers(1, 6)))}
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(_root_scales)
+        u, v = draw(_root_mantissas) * x, draw(_root_mantissas.filter(lambda v: v > 0)) * x
+        roots |= {(u, v), (u, -v)}
+    return sorted(roots)
+
+
+class TestPolishedRoots:
+    @settings(max_examples=60, deadline=None)
+    @given(chosen_roots(), st.sampled_from((53, 128, 256)))
+    # the double stage leaves two points collapsed together, far from
+    # both roots, and the step test alone passed them at 53 bits
+    @example([(F(1), F(0)), (F(2) ** 94, F(0))], 53)
+    @example([(F(-1, 2 ** 51), F(0)), (F(2) ** 298, F(0))], 53)
+    # both points ended at the small root while the far one's term in
+    # N'/N was below the rounding
+    @example([(F(3, 2 ** 297), F(0)), (F(3 * 2 ** 47), F(0))], 53)
+    def test_finds_chosen_roots(self, roots, bits):
+        # the integer polish finds every known root to the stop test's
+        # 2^-(bits/2) relative, and bounds every residual from above
+        P = UniPoly([1])
+        for re, im in roots:
+            if im > 0:
+                P = P * UniPoly([re * re + im * im, -2 * re, 1])
+            elif not im:
+                P = P * UniPoly([-re, 1])
+        rs = find_roots(P, bits)
+        assert len(rs.roots) == len(roots)
+        with mp.workprec(8 * bits):
+            known = [mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                            mp.mpf(im.numerator) / im.denominator) for re, im in roots]
+            for z in rs.roots:
+                match = min(range(len(known)), key=lambda i: abs(known[i] - z))
+                root = known.pop(match)
+                assert abs(root - z) <= mp.ldexp(abs(root), -(bits // 2)), (root, z)
+            for z, bound in zip(rs.roots, rs.residual_bounds):
+                value = mp.polyval([mp.mpf(n) for n in reversed(P.nums)], z)
+                scale = sum(abs(mp.mpf(n)) * abs(z) ** i for i, n in enumerate(P.nums))
+                assert abs(value) / scale <= bound
+
+    def test_collapsed_points_do_not_pass(self, monkeypatch):
+        # from the circle, the first sweep sends both points of
+        # (T - 1)(T - 2^200) to one place far from either root, where each
+        # step is about their distance: the step test alone stopped there
+        # at 53 and 128 bits
+        monkeypatch.setattr(analysis, "_aberth_double", lambda c, deg: None)
+        P = UniPoly([2 ** 200, -2 ** 200 - 1, 1])
+        for bits in (53, 128):
+            rs = find_roots(P, bits)
+            assert matched_multisets(rs.roots, [mp.mpc(1), mp.mpc(2 ** 200)], 2.0 ** -(bits // 2))
+
+    def test_multiple_roots_converge_or_raise(self):
+        # on (2T^2 - 1)^3 (2T^2 - 2T/3 + 1)(2T^2 - 5T + 1) the mpc steps
+        # stalled for 1000 sweeps; the integer ones reach N = 0 exactly at
+        # every point, within the 2^-(288/3) that a triple root allows
+        P = from_pairs(F(1), 2, 3, [F(1, 3), F(-1, 2)])
+        with mp.workprec(300):
+            fixed = 1 / mp.sqrt(2)
+            known = [fixed, -fixed] * 3
+            for w in (mp.mpf(1) / 3, mp.mpf(-1) / 2):
+                root = mp.sqrt(mp.mpc(w * w - 2))
+                known += [(w + root) / 2, (w - root) / 2]
+            assert matched_multisets(find_roots(P).roots, known, 1e-28)
+        # an eightfold root still stalls, and says how far it last moved
+        with pytest.raises(RootFindingError,
+                           match=r"^no convergence after 1000 iterations "
+                                 r"\(last update \d\.\d{4}e-\d+\)$"):
+            find_roots(UniPoly([-1, 1]) ** 8)
+
+
 @st.composite
 def end_nonzero_ints(draw):
     """Ascending int coefficients of degree 1..40 with both end ones
@@ -242,7 +324,7 @@ class TestResidualBound:
             z = mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
             bound = analysis._residual_bound(nums, z)
         deg = len(nums) - 1
-        F = prec + deg.bit_length() + analysis._RESIDUAL_GUARD_BITS
+        F = prec + deg.bit_length() + analysis._GUARD_BITS
         with mp.workprec(8 * prec):
             value = mp.polyval([mp.mpf(n) for n in reversed(nums)], z)
             ratio = abs(value) / sum(abs(mp.mpf(n)) * abs(z) ** i for i, n in enumerate(nums))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fwezeta import cli
-from fwezeta.algebra import UniPoly
+from fwezeta.algebra import HomogeneousPoly, UniPoly
 from fwezeta.analysis import RhReport, RootSet, check_rh
 from fwezeta.cli import main
 from fwezeta.files import (MAX_DEGREE, load_golden_table, read_enumerator_file,
@@ -388,6 +389,29 @@ class TestVerifyAllCommand:
         assert len(degree_lines) == 4
         assert all(line.endswith(" s)") and ", checks " in line for line in degree_lines)
 
+    @pytest.mark.parametrize("quotient, tight, divides", [
+        (None, False, False),                               # no divisibility
+        (HomogeneousPoly.from_sparse(24, {0: 1}), False, True),   # room for d + 4
+    ])
+    def test_bound_tight_reads_the_divisibility_quotient(
+            self, monkeypatch, capsys, quotient, tight, divides):
+        # bound_tight is read off the quotient of the divisibility, of
+        # degree n + 16 - 6d in [0, 24) when it holds; at d = 4 (n = 12, 20,
+        # 28) from n + 16 - 48 < 0 alone
+        real = cli.check_divisibility
+        monkeypatch.setattr(cli, "check_divisibility",
+                            lambda W: dataclasses.replace(real(W), quotient=quotient))
+        assert main(["verify-all", "--max-degree", "44", "--format", "json"]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        for r in results:
+            keys = list(r["checks"])
+            assert keys == list(r["check_seconds"])
+            assert keys[-2:] == (["bound_tight", "divisibility"] if r["d"] >= 8
+                                 else ["rh", "bound_tight"])
+        assert [(r["n"], r["checks"]["bound_tight"], r["checks"].get("divisibility"))
+                for r in results] == [(12, True, None), (20, True, None), (28, True, None),
+                                      (36, tight, divides), (44, tight, divides)]
+
     def test_json_payload(self, capsys):
         assert main(["verify-all", "--max-degree", "20", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -476,7 +500,7 @@ class TestTranscriptDigest:
             record = [[a.replace(tmp, "<tmp>") for a in argv], code,
                       out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
             digest.update(json.dumps(record).encode())
-        assert digest.hexdigest() == "efbccad58ab131bd6cbaa04afed731012b8c8b6376093e6642a382782e264acb"
+        assert digest.hexdigest() == "d157d6bc3705cd00e55dbc304963caa04c06fb94ab27154d3c9227f88d62af5d"
 
 
 def _request(argv, capsys):

@@ -7,7 +7,9 @@ every private name defined in the package has a caller there
 (test_src_private_names_have_a_caller), that no command runs the dense
 solve of the defining system, that `rh` bounds each root's residual on
 integers, with no mpc or mpf arithmetic, and reads no coefficient of P
-as an mp number (test_rh_bounds_residuals_on_integers), how many
+as an mp number (test_rh_bounds_residuals_on_integers), that it
+polishes roots with no mpc or mpf arithmetic either
+(test_rh_polishes_roots_on_integers), how many
 multiprecision Aberth sweeps the RH-false products may take, how often
 the headline command finds the sign, reduces P and divides the
 derivative, which product every polynomial multiplication runs, how
@@ -244,6 +246,38 @@ def test_rh_bounds_residuals_on_integers(monkeypatch, tmp_path):
     assert cli.main(["rh", "--input", str(path), "--format", "json"]) == 1
     assert +arithmetic == {}
     assert calls["_residual_bound"] >= 30 and calls["_mp_coefficients"] == 1
+
+
+def test_rh_polishes_roots_on_integers(monkeypatch, tmp_path):
+    # rh on W12^3 polishes the roots of R on Gaussian dyadic integers: no
+    # mpc or mpf product, sum, difference or quotient inside its two
+    # polishing sweeps (the mpc sweeps took over 1000 of each), while the
+    # root mapping around them still counts
+    path = tmp_path / "w12cubed.json"
+    write_enumerator_file(W12 ** 3, path)
+    arithmetic, outside, inside = collections.Counter(), collections.Counter(), []
+    polish = analysis._polish_sweep
+
+    def sweep(*args):
+        inside.append(True)
+        try:
+            return polish(*args)
+        finally:
+            inside.pop()
+
+    def counted(name, op):
+        def wrapper(self, other):
+            (arithmetic if inside else outside)[name] += 1
+            return op(self, other)
+        return wrapper
+
+    for cls in (mp.mpc, mp.mpf):
+        for op in ("__mul__", "__add__", "__sub__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(cls, op, counted(f"{cls.__name__}.{op}", getattr(cls, op)))
+    monkeypatch.setattr(analysis, "_polish_sweep", sweep)
+    assert cli.main(["rh", "--input", str(path), "--format", "json"]) == 1
+    assert +arithmetic == {}
+    assert outside["mpc.__mul__"] > 0 and outside["mpc.__truediv__"] > 0
 
 
 def test_verify_all_reduces_and_divides_once_per_degree(monkeypatch):
