@@ -6,9 +6,9 @@ divisibility property and the minimum-index bounds.
 Everything discrete (multiplicities, pairing, divisibility, bounds) is
 exact.  The root modulus check is exact too whenever a sign-change
 certificate over Q succeeds; only when it does not are roots located
-numerically: started in double precision, polished on Gaussian dyadic
-integers at a caller-chosen binary precision, and each given a rigorous
-bound on its residual computed on integers.
+numerically, from the polynomial's integers alone: started in double
+precision, polished on Gaussian dyadic integers at a caller-chosen
+precision, and given rigorous residual bounds on integers, then made mpc.
 """
 from __future__ import annotations
 
@@ -40,9 +40,9 @@ class RootSet:
 
     roots are mpc: from find_roots, each exactly the Gaussian dyadic that
     the polishing sweeps (_polish_sweep) left; on check_rh's reduction
-    path, the roots of R mapped to those of P at the working precision.
-    residual_bounds[k] is an upper bound, computed on integers
-    (_residual_bound), on the relative backward error
+    path, the roots of R mapped to those of P at precision_bits + 32.
+    residual_bounds[k] is an upper bound, computed on integers at that
+    precision (_residual_bound), on the relative backward error
     |P(z_k)| / sum_i |a_i| |z_k|^i of the stored z_k against the exact P
     (0 for a root at exactly 0): a certificate that z_k is an exact root
     of a polynomial whose coefficients differ relatively from P's by at
@@ -55,61 +55,52 @@ class RootSet:
 
 
 def find_roots(P: UniPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
-    """All complex roots of P by the Aberth-Ehrlich simultaneous iteration.
+    """All complex roots of P by the Aberth-Ehrlich simultaneous iteration,
+    read off P's integer form: the numerators nums of N = den P, and den.
 
     The points start from the same iteration run in double precision
-    (_aberth_double), or from a circle when double precision cannot hold
-    P, and are polished on Gaussian dyadic integers (_polish_sweep) until,
-    at every point z, both the step and the Newton correction N(z)/N'(z)
-    are below 2^(-precision_bits/2) |z| (below 2^(-precision_bits/2)
-    itself where z is exactly 0), decided exactly on squared moduli
+    (_aberth_double), or from a circle built on integers when double
+    precision cannot hold P (_aberth_initial), and are polished on
+    Gaussian dyadic integers (_polish_sweep) until, at every point z,
+    both the step and the Newton correction N(z)/N'(z) are below
+    2^(-precision_bits/2) |z|, decided exactly on squared moduli
     (_below).  The Newton clause stops a cluster of points that collapsed
     away from every root from passing: each of its steps is about the
     cluster's diameter, while a fixed point of the iteration has
     N(z) = 0.  The test is relative because rounding alone moves a root
     z by about |z| 2^(-precision_bits); an absolute test could never stop
-    on a root of modulus 1e337.  Hitting the iteration cap first raises
-    RootFindingError rather than returning unconverged values.  The
-    sweeps round at the working precision plus _GUARD_BITS and the bits
-    that the root moduli span.  The iteration count is that of the
-    polishing sweeps, and the polished points become mpc exactly, once.
+    on a root of modulus 1e337.  The iteration cap raises
+    RootFindingError rather than return unconverged values.  The sweeps
+    round at prec = precision_bits + 32 plus _GUARD_BITS and the bits
+    that the root moduli span; _residual_bound runs at prec.  The
+    iteration count is the polishing sweeps', and no mp arithmetic runs
+    until the polished points become mpc exactly, once, at the end.
     """
     if P.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     if precision_bits < 53:
         raise ValueError("precision_bits must be at least 53")
-    with mp.workprec(precision_bits + 32):
-        # exact roots at zero first, so the remaining constant term is nonzero
-        vzero = next(i for i, c in enumerate(P.nums) if c)
-        nums, c = P.nums[vzero:], _mp_coefficients(P)[vzero:]
-        deg = len(c) - 1
-        roots = [mp.mpc(0)] * vzero
-        residuals = [mp.mpf(0)] * vzero
-        iterations = 0
-        if deg >= 1:
-            z = [_dyadic(zk) for zk in _aberth_double(c, deg) or _aberth_initial(c, deg)]
-            dnums = [i * n for i, n in enumerate(nums)][1:]
-            width = mp.mp.prec + _GUARD_BITS + _modulus_span(nums)
-            half = precision_bits // 2
-            for iterations in range(1, MAX_ITERATIONS + 1):
-                steps, done = _polish_sweep(nums, dnums, z, width, half)
-                if done:
-                    break
-            else:
-                last = max(abs(_to_mpc(step)) for step in steps)
-                raise RootFindingError(
-                    f"no convergence after {MAX_ITERATIONS} iterations "
-                    f"(last update {mp.nstr(last, 5)})")
-            z = [_to_mpc(zk) for zk in z]
-            roots += z
-            residuals += [_residual_bound(nums, zk) for zk in z]
-        return RootSet(tuple(roots), tuple(residuals), iterations)
-
-
-def _mp_coefficients(P: UniPoly) -> list:
-    """The coefficients of P at the working precision, each the quotient
-    of its reduced numerator and denominator."""
-    return [mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in P.coeffs]
+    prec = precision_bits + 32
+    # exact roots at zero first, so the remaining constant term is nonzero
+    vzero = next(i for i, c in enumerate(P.nums) if c)
+    nums = P.nums[vzero:]
+    roots, residuals = [mp.mpc(0)] * vzero, [mp.mpf(0)] * vzero
+    iterations = 0
+    if len(nums) > 1:
+        z = _aberth_double(nums, P.den) or _aberth_initial(nums)
+        dnums = [i * n for i, n in enumerate(nums)][1:]
+        width = prec + _GUARD_BITS + _modulus_span(nums)
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            steps, done = _polish_sweep(nums, dnums, z, width, precision_bits // 2)
+            if done:
+                break
+        else:
+            last = mp.nstr(max(abs(_to_mpc(step)) for step in steps), 5)
+            raise RootFindingError(f"no convergence after {MAX_ITERATIONS} iterations "
+                                   f"(last update {last})")
+        roots += [_to_mpc(zk) for zk in z]
+        residuals += [_residual_bound(nums, zk, prec) for zk in z]
+    return RootSet(tuple(roots), tuple(residuals), iterations)
 
 
 def _aberth_sweep(c, dc, z):
@@ -268,12 +259,16 @@ def _to_mpc(x):
     return mp.make_mpc((libmp.from_man_exp(a, e), libmp.from_man_exp(b, e)))
 
 
-def _aberth_initial(c, deg):
-    """Starting points on a circle sized by the root-product estimate,
-    rotated off the axes so symmetric configurations cannot stall."""
-    r = (abs(c[0] / c[deg])) ** (mp.mpf(1) / deg)
-    return [r * mp.exp(mp.mpc(0, 2 * mp.pi * k / deg + mp.mpf(2) / 5))
-            for k in range(deg)]
+def _aberth_initial(nums):
+    """Starting points on |z| = 2^rho, rho = log2|n_0/n_D| / D, the
+    root-product estimate, rotated off the axes so symmetric
+    configurations cannot stall, on integers for ends no double holds:
+    point k is (round 2^(rho - e + 53) e^(i (2 pi k / D + 0.4)), e - 53)."""
+    deg = len(nums) - 1
+    rho = (math.log2(abs(nums[0])) - math.log2(abs(nums[-1]))) / deg
+    e = math.floor(rho)                 # so 2^(rho - e + 53) is a double
+    circle = [cmath.rect(2 ** (rho - e + 53), 2 * math.pi * k / deg + 0.4) for k in range(deg)]
+    return [(round(x.real), round(x.imag), e - 53) for x in circle]
 
 
 # The double-precision stage stops once the largest step relative to its
@@ -283,19 +278,21 @@ _DOUBLE_TOLERANCE = 1e-13
 _DOUBLE_STALL = 20
 
 
-def _aberth_double(c, deg):
-    """Starting points for the multiprecision Aberth loop, as mpc: the
-    same sweeps in Python complex from the same rotated circle, on the mp
-    coefficients c (c[0] and c[deg] nonzero) scaled by one power of two
-    so that the largest has magnitude in [1/2, 1), which leaves the roots
-    as they are.
+def _aberth_double(nums, den):
+    """Starting points for the multiprecision Aberth loop, as Gaussian
+    dyadics: the same sweeps in Python complex from the same rotated
+    circle, on a_i = n_i 2^t / den (n_0 and n_D nonzero), each one
+    correctly rounded int division.  t = bit_length(den) - max_i
+    bit_length(n_i) puts the largest |a_i| in (1/2, 2), and scaling by a
+    power of two leaves the roots as they are.
 
     None when double precision cannot hold the problem: a nonzero
-    coefficient scales to 0, a point is not finite, or two points
+    coefficient rounds to 0, a point is not finite, or two points
     coincide.  The multiprecision loop then starts from the circle."""
-    shift = -max(mp.mag(ci) for ci in c)
-    a = [float(mp.ldexp(ci, shift)) for ci in c]
-    if any(ci and not ai for ai, ci in zip(a, c)):
+    deg = len(nums) - 1
+    t = den.bit_length() - max(abs(n).bit_length() for n in nums)
+    a = [(n << t) / den if t >= 0 else n / (den << -t) for n in nums]
+    if any(n and not ai for n, ai in zip(nums, a)):
         return None
     da = [a[i] * i for i in range(1, deg + 1)]
     r = (abs(a[0]) / abs(a[deg])) ** (1 / deg)
@@ -320,7 +317,9 @@ def _aberth_double(c, deg):
         return None
     if len(set(z)) < deg:
         return None
-    return [mp.mpc(zk) for zk in z]
+    # x / p and y / q exactly, p and q powers of two: both on 2^-log2(p q)
+    ratios = [(zk.real.as_integer_ratio(), zk.imag.as_integer_ratio()) for zk in z]
+    return [(x * q, y * p, 1 - (p * q).bit_length()) for (x, p), (y, q) in ratios]
 
 
 @dataclass(frozen=True)
@@ -485,14 +484,13 @@ def _certify_on_circle(R: UniPoly, q: int) -> bool:
     return False
 
 
-def _residual_bound(nums, z):
+def _residual_bound(nums, z, prec):
     """An upper bound on |N(z)| / S, S = sum_i |n_i| |z|^i, for the ints
-    nums = (n_0, ..., n_D) of N, n_0 and n_D nonzero, at the mpc z, as an
-    mpf rounded up at the working precision prec.  A common denominator
-    of the n_i cancels, so this is the backward error of z as a root.
+    nums = (n_0, ..., n_D) of N, n_0 and n_D nonzero, at the Gaussian
+    dyadic z = (a + bi) 2^e, as an mpf rounded up at precision prec.  A
+    common denominator of the n_i cancels: this is z's backward error.
 
-    It runs on integers.  z is read exactly as (a + bi) 2^e from its
-    mantissas and exponents.  With F = prec + bit_length(D) + guard
+    It runs on integers.  With F = prec + bit_length(D) + guard
     fractional bits, Horner H <- floor(H (a + bi) 2^e) + n_j 2^F (both
     parts floored) ends with |H - 2^F N(z)| <= sqrt2 sum_(j<D) |z|^j, as
     step j errs by less than sqrt2 and is then multiplied by z^j.  That
@@ -505,8 +503,8 @@ def _residual_bound(nums, z):
     the ratio by less than 16 D 2^-F before the final rounding up.
     """
     deg = len(nums) - 1
-    F = mp.mp.prec + deg.bit_length() + _GUARD_BITS
-    a, b, e = _dyadic(z)
+    F = prec + deg.bit_length() + _GUARD_BITS
+    a, b, e = z
 
     def floored(x, shift):          # floor(x 2^shift)
         return x << shift if shift >= 0 else x >> -shift
@@ -521,7 +519,7 @@ def _residual_bound(nums, z):
     ceil_h = math.isqrt(h2 - 1) + 1 if h2 else 0
     sqrt2_deg = math.isqrt(2 * deg * deg) + 1
     return mp.make_mpf(libmp.from_rational((ceil_h << F) + sqrt2_deg * s, s << F,
-                                           mp.mp.prec, libmp.round_ceiling))
+                                           prec, libmp.round_ceiling))
 
 
 def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
@@ -538,7 +536,7 @@ def _roots_from_reduction(P: UniPoly, q: int, m: int, R: UniPoly,
             # the larger-modulus root first, so neither suffers cancellation
             alpha = max((w + root) / 2, (w - root) / 2, key=abs)
             roots += [alpha, 1 / (q * alpha)]
-        residuals = [_residual_bound(P.nums, z) for z in roots]
+    residuals = [_residual_bound(P.nums, _dyadic(z), precision_bits + 32) for z in roots]
     return RootSet(tuple(roots), tuple(residuals), rs.iterations)
 
 

@@ -193,8 +193,9 @@ def cmd_rh(args) -> tuple:
         f"max deviation of |root|*sqrt(q) from 1: {report.max_relative_deviation:.3e} "
         f"(tolerance {args.tol:.1e})",
     ]
-    for z in report.offending_roots:
-        lines.append(f"  offending root: {mp.nstr(z, 17)}  |.| = {mp.nstr(abs(z), 17)}")
+    with mp.workprec(args.precision + 32):      # the precision the roots were found at
+        for z in report.offending_roots:
+            lines.append(f"  offending root: {mp.nstr(z, 17)}  |.| = {mp.nstr(abs(z), 17)}")
     return payload, lines, 0 if report.holds else 1
 
 

@@ -165,7 +165,7 @@ class TestFindRoots:
         # iteration starts, so both starts must find the same roots
         P = UniPoly(coeffs)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(analysis, "_aberth_double", lambda c, deg: None)
+            patch.setattr(analysis, "_aberth_double", lambda nums, den: None)
             circle = find_roots(P)
         assert matched_multisets(find_roots(P).roots, circle.roots, 1e-30)
 
@@ -173,16 +173,40 @@ class TestFindRoots:
         # one power of two brings 10^400-scaled coefficients into range; a
         # coefficient that still underflows, or a root beyond double range,
         # leaves the start to the circle
-        with mp.workprec(288):
-            huge = [mp.mpf(10) ** 400 * c for c in (-6, 11, -6, 1)]
-            assert analysis._aberth_double(huge, 3) is not None
-            spread = [mp.mpf(1), mp.mpf(10) ** -400, mp.mpf(1)]
-            assert analysis._aberth_double(spread, 2) is None
-            assert analysis._aberth_double([mp.mpf(1), mp.ldexp(1, -1070)], 1) is None
+        huge = [10 ** 400 * c for c in (-6, 11, -6, 1)]
+        assert analysis._aberth_double(huge, 1) is not None
+        spread = [10 ** 400, 1, 10 ** 400]                  # 1 + T/10^400 + T^2
+        assert analysis._aberth_double(spread, 10 ** 400) is None
+        assert analysis._aberth_double([2 ** 1070, 1], 2 ** 1070) is None
         rs = find_roots(UniPoly([1, F(1, 10 ** 400), 1]))
         assert matched_multisets(rs.roots, [mp.mpc(0, 1), mp.mpc(0, -1)], 1e-30)
         rs = find_roots(UniPoly([1, F(1, 2 ** 1070)]))
         assert matched_multisets(rs.roots, [mp.mpc(-2 ** 1070)], 1e-30)
+
+    def test_huge_denominator_keeps_the_double_start(self):
+        # n_i 2^t / den, t = bit_length(den) - max bit_length(n_i), keeps
+        # each coefficient in double range; n_i / den alone underflows
+        # here, and from the circle (T-1)(T-2)(T-3)/3^1000 takes 8 sweeps
+        # instead of 2.  The comparison divides by 3 too: with den = 1 the
+        # coefficients are exact doubles, and one sweep is enough
+        P = UniPoly([F(c, 3 ** 1000) for c in (-6, 11, -6, 1)])
+        assert analysis._aberth_double(P.nums, P.den) is not None
+        rs = find_roots(P)
+        assert rs.iterations == find_roots(UniPoly([F(c, 3) for c in (-6, 11, -6, 1)])).iterations
+        assert matched_multisets(rs.roots, [mp.mpc(1), mp.mpc(2), mp.mpc(3)], 1e-30)
+
+    @pytest.mark.parametrize("n0, nD", [(10 ** 400, 1), (1, 2 ** 1070)])
+    @pytest.mark.parametrize("deg", [1, 2, 5])
+    def test_circle_start_beyond_double_range(self, n0, nD, deg):
+        # the circle is built on integers, so ends that no double holds
+        # still give deg distinct points of modulus |n_0 / n_D|^(1/deg)
+        points = analysis._aberth_initial([n0] + [0] * (deg - 1) + [nD])
+        assert len(points) == len(set(points)) == deg
+        with mp.workprec(200):
+            radius = (mp.mpf(n0) / nD) ** (mp.mpf(1) / deg)
+            for a, b, e in points:
+                modulus = mp.ldexp(mp.hypot(a, b), e)
+                assert abs(modulus / radius - 1) < mp.ldexp(1, -40)
 
     def test_relative_stop_on_roots_of_any_size(self):
         # roots +-1e-91, three of modulus 2.3e-30 and one near 8.9e336:
@@ -269,7 +293,7 @@ class TestPolishedRoots:
         # (T - 1)(T - 2^200) to one place far from either root, where each
         # step is about their distance: the step test alone stopped there
         # at 53 and 128 bits
-        monkeypatch.setattr(analysis, "_aberth_double", lambda c, deg: None)
+        monkeypatch.setattr(analysis, "_aberth_double", lambda nums, den: None)
         P = UniPoly([2 ** 200, -2 ** 200 - 1, 1])
         for bits in (53, 128):
             rs = find_roots(P, bits)
@@ -322,7 +346,7 @@ class TestResidualBound:
         # by no more than 16 D 2^-F before its result is rounded up at prec
         with mp.workprec(prec):
             z = mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
-            bound = analysis._residual_bound(nums, z)
+        bound = analysis._residual_bound(nums, analysis._dyadic(z), prec)
         deg = len(nums) - 1
         F = prec + deg.bit_length() + analysis._GUARD_BITS
         with mp.workprec(8 * prec):

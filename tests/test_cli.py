@@ -280,6 +280,21 @@ class TestRhCommand:
         assert main(["rh", "--input", str(path)]) == 1
         assert "offending root" in capsys.readouterr().out
 
+    def test_offending_moduli_at_the_working_precision(self, tmp_path, capsys):
+        # each |.| printed for an offending root of the RH-false W8^s W12^k
+        # is |z| to 17 digits as 8x the precision gives it; at mpmath's
+        # default 53 bits, 15 of these 18 figures read off in the last digits
+        path = str(tmp_path / "w.json")
+        for s, k in [(3, 1), (0, 3), (4, 1), (1, 3), (5, 1), (2, 3), (6, 1), (3, 3), (0, 5)]:
+            W = W8 ** s * W12 ** k
+            write_enumerator_file(W, path)
+            assert main(["rh", "--input", path]) == 1
+            printed = [line.split("|.| = ")[1] for line in capsys.readouterr().out.splitlines()
+                       if "|.| = " in line]
+            report = check_rh(compute_zeta(EnumeratorContext(W, 2)))
+            with mp.workprec(8 * 256):
+                assert printed == [mp.nstr(abs(z), 17) for z in report.offending_roots], (s, k)
+
     def test_certificate_in_json(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         write_enumerator_file(W12, path)
@@ -500,7 +515,7 @@ class TestTranscriptDigest:
             record = [[a.replace(tmp, "<tmp>") for a in argv], code,
                       out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
             digest.update(json.dumps(record).encode())
-        assert digest.hexdigest() == "d157d6bc3705cd00e55dbc304963caa04c06fb94ab27154d3c9227f88d62af5d"
+        assert digest.hexdigest() == "ce95aca123cf478b932832d05bb8dc5bb47385c21da6a703dd4842d83455d992"
 
 
 def _request(argv, capsys):

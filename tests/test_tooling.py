@@ -2,14 +2,16 @@
 on, what the headline command and the extremal builder may call, the
 functions the benchmark traces, where the command line front end may
 print to stdout, that no module of the package holds state of its own
-behind a `global` statement (test_src_has_no_global_statement), that
+behind a `global` statement (test_src_has_no_global_statement) or reads
+mpmath's global precision (test_src_reads_no_ambient_precision), that
 every private name defined in the package has a caller there
 (test_src_private_names_have_a_caller), that no command runs the dense
 solve of the defining system, that `rh` bounds each root's residual on
-integers, with no mpc or mpf arithmetic, and reads no coefficient of P
-as an mp number (test_rh_bounds_residuals_on_integers), that it
-polishes roots with no mpc or mpf arithmetic either
-(test_rh_polishes_roots_on_integers), how many
+integers, with no mpc or mpf arithmetic
+(test_rh_bounds_residuals_on_integers), that it polishes roots with no
+mpc or mpf arithmetic either (test_rh_polishes_roots_on_integers), that
+find_roots builds no Fraction and runs no mp arithmetic from either
+start (test_find_roots_reads_only_integers), how many
 multiprecision Aberth sweeps the RH-false products may take, how often
 the headline command finds the sign, reduces P and divides the
 derivative, which product every polynomial multiplication runs, how
@@ -166,6 +168,17 @@ def test_src_has_no_global_statement():
         assert rebinds == [], f"global statement in {path.name} at lines {rebinds}"
 
 
+def test_src_reads_no_ambient_precision():
+    # every kernel takes its precision as an argument, so none depends on
+    # what mpmath's global context was last set to
+    sources = sorted(Path(fwezeta.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        reads = [i for i, line in enumerate(lines, 1) if "mp.mp.prec" in line]
+        assert reads == [], f"mp.mp.prec in {path.name} at lines {reads}"
+
+
 def test_src_private_names_have_a_caller():
     # a private function, method, class or module constant is there for
     # the package's own code, so something in src/ must load it
@@ -213,24 +226,19 @@ def test_full_degree_roots_of_rh_false_products_polish_a_double_start():
 
 def test_rh_bounds_residuals_on_integers(monkeypatch, tmp_path):
     # rh on W12^3 bounds the residual of every root by the integer kernel:
-    # no mpc or mpf product or sum inside it, and P's coefficients are
-    # never read as mp numbers, only R's, once, for the Aberth sweeps
+    # no mpc or mpf product or sum inside it
     path = tmp_path / "w12cubed.json"
     write_enumerator_file(W12 ** 3, path)
     calls, arithmetic, inside = collections.Counter(), collections.Counter(), []
-    kernel, coefficients = analysis._residual_bound, analysis._mp_coefficients
+    kernel = analysis._residual_bound
 
-    def bound(nums, z):
+    def bound(nums, z, prec):
         calls["_residual_bound"] += 1
         inside.append(True)
         try:
-            return kernel(nums, z)
+            return kernel(nums, z, prec)
         finally:
             inside.pop()
-
-    def read(P):
-        calls["_mp_coefficients"] += 1
-        return coefficients(P)
 
     def counted(name, op):
         def wrapper(self, other):
@@ -242,10 +250,50 @@ def test_rh_bounds_residuals_on_integers(monkeypatch, tmp_path):
         for op in ("__mul__", "__add__"):
             monkeypatch.setattr(cls, op, counted(f"{cls.__name__}.{op}", getattr(cls, op)))
     monkeypatch.setattr(analysis, "_residual_bound", bound)
-    monkeypatch.setattr(analysis, "_mp_coefficients", read)
     assert cli.main(["rh", "--input", str(path), "--format", "json"]) == 1
     assert +arithmetic == {}
-    assert calls["_residual_bound"] >= 30 and calls["_mp_coefficients"] == 1
+    assert calls["_residual_bound"] >= 30
+
+
+def test_find_roots_reads_only_integers(monkeypatch, tmp_path, capsys):
+    # find_roots reads P's integer form and converts the polished roots to
+    # mpc once, at the end: from the double start (rh on W12^3, where it
+    # finds the roots of R) and from the circle (1 + T/10^400 + T^2, which
+    # no double holds), it builds no Fraction and runs no mpc or mpf
+    # arithmetic; the old path boxed every coefficient into both
+    path = tmp_path / "w12cubed.json"
+    write_enumerator_file(W12 ** 3, path)
+    circle = algebra.UniPoly([1, fractions.Fraction(1, 10 ** 400), 1])
+    counts, inside = collections.Counter(), []
+    find_roots, new_fraction = analysis.find_roots, fractions.Fraction.__new__
+
+    def finding(*args):
+        counts["find_roots"] += 1
+        inside.append(True)
+        try:
+            return find_roots(*args)
+        finally:
+            inside.pop()
+
+    def constructed(cls, *args, **kwargs):
+        counts["Fraction"] += bool(inside)
+        return new_fraction(cls, *args, **kwargs)
+
+    def counted(name, op):
+        def wrapper(self, *args):
+            counts[name] += bool(inside)
+            return op(self, *args)
+        return wrapper
+
+    for cls in (mp.mpc, mp.mpf):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__rtruediv__", "__pow__"):
+            monkeypatch.setattr(cls, op, counted(f"{cls.__name__}.{op}", getattr(cls, op)))
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(constructed))
+    monkeypatch.setattr(analysis, "find_roots", finding)
+    assert cli.main(["rh", "--input", str(path), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["iterations"] == 2
+    assert analysis.find_roots(circle).iterations > 0
+    assert +counts == {"find_roots": 2}
 
 
 def test_rh_polishes_roots_on_integers(monkeypatch, tmp_path):
